@@ -10,12 +10,14 @@ blocks.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
 
+from .combinatorics import alternating_flags, derangement_flags
 from .errors import DegenerateCourseError, DegenerateRegionError, DegenerateSampleError
 from .geometry import (
     GridCell,
@@ -29,7 +31,7 @@ from .mechanics import (
     HopperTimer,
     RandomTickScheduler,
     SlimeArena,
-    dropper_permutation_block,
+    dropper_rank_block,
     hopper_items_in_window,
     slime_death_cells,
     ticks_until_growth_block,
@@ -61,6 +63,9 @@ class ExperimentConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"invalid value for 'variant': {self.variant!r} "
                              f"(expected one of {', '.join(VARIANTS)})")
+        for key, value in (("seed", self.master_seed), ("trials", self.trials)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"invalid value for '{key}': {value!r} is not an integer")
         if not 0 <= self.master_seed < (1 << 64):
             raise ValueError("invalid value for 'seed': must be an unsigned 64-bit integer")
         if self.trials < 1:
@@ -82,7 +87,7 @@ class EstimateRecord:
     stderr: float | None
     ci_low: float | None
     ci_high: float | None
-    reference: float
+    reference: float | None
     relative_error_percent: float | None
     seed: int | None
     params: dict
@@ -195,17 +200,34 @@ def _block_plan(trials: int) -> list[tuple[int, int]]:
 
 
 def _map_blocks(seed: int, label: str, trials: int, block_fn: Callable, workers: int = 1) -> list:
-    """Run block_fn(stream, count) for each block; results in block order."""
+    """Run block_fn(stream, count) for each block; results in block order.
+
+    The pool never has more threads than cores or blocks, whatever
+    ``workers`` asks for.
+    """
     plan = _block_plan(trials)
 
     def run_one(item):
         index, count = item
         return block_fn(derive_stream(seed, StreamId(label, index)), count)
 
-    if workers <= 1 or len(plan) <= 1:
+    workers = min(workers, os.cpu_count() or 1, len(plan))
+    if workers <= 1:
         return [run_one(item) for item in plan]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_one, plan))
+
+
+def _flagged_orders(dropper: Dropper, flags: np.ndarray) -> Callable:
+    """Block function counting the dropper orders whose rank is flagged.
+
+    The caller builds ``flags`` before any worker thread starts, so the
+    threads only read the shared table.
+    """
+    def block(stream, count):
+        return int(np.count_nonzero(flags[dropper_rank_block(dropper, stream, count)]))
+
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +356,7 @@ def estimate_e(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """
     resolved = _resolve_e_params(config.variant_params)
     size = resolved["permutation_size"]
-    dropper = Dropper(slot_count=size)
-    identity = np.arange(1, size + 1, dtype=np.int64)
-
-    def block(stream, count):
-        perms = dropper_permutation_block(dropper, stream, count)
-        return int((perms != identity).all(axis=1).sum())
-
+    block = _flagged_orders(Dropper(slot_count=size), derangement_flags(size))
     derangements = sum(_map_blocks(config.master_seed, "e", config.trials, block, workers))
     if derangements == 0:
         raise DegenerateSampleError("no derangements observed; cannot form trials/derangements")
@@ -381,6 +397,18 @@ def _resolve_zeta_params(variant_params: dict) -> dict:
     return resolved
 
 
+def _coprime_rows(values: np.ndarray) -> int:
+    """Number of rows of positive integers whose gcd is 1.
+
+    Chains the binary gcd column by column; one pass per column is cheaper
+    than ``np.gcd.reduce`` along the short row axis.
+    """
+    common = values[:, 0]
+    for column in range(1, values.shape[1]):
+        common = np.gcd(common, values[:, column])
+    return int(np.count_nonzero(common == 1))
+
+
 def reference_zeta(m: int) -> float:
     if m == 2:
         return CONSTANTS.pi ** 2 / 6.0
@@ -406,15 +434,13 @@ def estimate_zeta(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
         bound = resolved["value_bound"]
 
         def block(stream, count):
-            values = stream.int_below_block(bound, (count, m)) + 1
-            return int((np.gcd.reduce(values, axis=1) == 1).sum())
+            return _coprime_rows(stream.int_below_block(bound, (count, m)) + 1)
     else:
         sched = RandomTickScheduler(speed_multiplier=resolved["speed_multiplier"])
         growth = resolved["growth_prob"]
 
         def block(stream, count):
-            values = ticks_until_growth_block(sched, growth, stream, (count, m))
-            return int((np.gcd.reduce(values, axis=1) == 1).sum())
+            return _coprime_rows(ticks_until_growth_block(sched, growth, stream, (count, m)))
 
     coprime = sum(_map_blocks(config.master_seed, "zeta", config.trials, block, workers))
     if coprime == 0:
@@ -456,15 +482,6 @@ def _resolve_sec_tan_params(variant_params: dict) -> dict:
     return {"max_size": _as_int(variant_params, "max_size", 9, minimum=0, maximum=9)}
 
 
-def _alternating_rows(perms: np.ndarray) -> np.ndarray:
-    if perms.shape[1] < 2:
-        return np.ones(perms.shape[0], dtype=bool)
-    diffs = np.diff(perms, axis=1)
-    rises = (diffs[:, 0::2] > 0).all(axis=1)
-    falls = (diffs[:, 1::2] < 0).all(axis=1)
-    return rises & falls
-
-
 def estimate_sec_tan(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Sum over sizes n <= max_size of the alternating fraction A_n/n!.
 
@@ -478,10 +495,7 @@ def estimate_sec_tan(config: ExperimentConfig, workers: int = 1) -> EstimateReco
     variance = 0.0
     per_size = []
     for size in range(2, max_size + 1):
-        def block(stream, count, _size=size):
-            perms = stream.permutation_block(_size, count)
-            return int(_alternating_rows(perms).sum())
-
+        block = _flagged_orders(Dropper(slot_count=size), alternating_flags(size))
         hits = sum(_map_blocks(config.master_seed, f"sec_tan/size{size}",
                                config.trials, block, workers))
         fraction = hits / config.trials
@@ -803,6 +817,8 @@ _ESTIMATORS = {
 
 def run_config(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Execute one experiment config (or replay its counts) into a record."""
+    if workers < 1:
+        raise ValueError("invalid value for 'workers': must be >= 1")
     params = dict(config.variant_params)
     if "counts" in params:
         raw = params.pop("counts")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import Permutation
+from .combinatorics import Permutation, permutation_table
 from .geometry import CircleRaster, GridCell, rasterize_circle
 from .rng import RngStream, geometric_trials
 
@@ -86,10 +86,22 @@ def dropper_permutation(dropper: Dropper, stream: RngStream) -> Permutation:
     return tuple(ejected)
 
 
+def dropper_rank_block(dropper: Dropper, stream: RngStream, count: int) -> np.ndarray:
+    """count independent ejection orders, each as its lexicographic rank in
+    [0, slot_count!).
+
+    A uniform rank is a uniform permutation, so estimators that only ask a
+    yes/no question of each order look the answer up by rank (see
+    ``combinatorics.derangement_flags``) without building the rows.
+    """
+    return stream.int_below_block(math.factorial(dropper.slot_count), count)
+
+
 def dropper_permutation_block(dropper: Dropper, stream: RngStream, count: int) -> np.ndarray:
     """(count, slot_count) array; each row an independent uniform permutation
-    of 1..slot_count."""
-    return stream.permutation_block(dropper.slot_count, count) + 1
+    of 1..slot_count, the unranked form of ``dropper_rank_block``'s draws."""
+    ranks = dropper_rank_block(dropper, stream, count)
+    return permutation_table(dropper.slot_count)[ranks].astype(np.int64) + 1
 
 
 @dataclass(frozen=True)
@@ -136,12 +148,6 @@ def ticks_until_growth_block(sched: RandomTickScheduler, growth_prob: float,
     if not 0.0 < growth_prob <= 1.0:
         raise ValueError("growth_prob must satisfy 0 < p <= 1")
     return stream.geometric_block(sched.selection_probability * growth_prob, shape)
-
-
-@dataclass(frozen=True)
-class WalkerState:
-    position: tuple[float, float]
-    heading: float  # radians in [0, 2*pi)
 
 
 @dataclass(frozen=True)

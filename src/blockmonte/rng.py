@@ -103,13 +103,6 @@ class RngStream:
         draws = 1 + np.floor(np.log1p(-u) / math.log1p(-p)).astype(np.int64)
         return np.maximum(draws, 1)
 
-    def permutation_block(self, n: int, count: int) -> np.ndarray:
-        """count independent uniform permutations of 0..n-1, one per row."""
-        if n < 0 or count < 0:
-            raise ValueError("n and count must be >= 0")
-        base = np.broadcast_to(np.arange(n, dtype=np.int64), (count, n))
-        return self._generator.permuted(base, axis=1)
-
 
 def derive_stream(seed: MasterSeed, stream_id: StreamId) -> RngStream:
     """Build the stream owned by (seed, stream_id).

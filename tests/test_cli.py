@@ -183,6 +183,14 @@ class TestCommandLine:
         assert cli.main(["estimate", "pi", "--trials", "0"]) == 2
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_non_positive_workers_exits_two_with_or_without_out(self, tmp_path, capsys, workers):
+        base = ["estimate", "pi", "--trials", "100", "--workers", workers]
+        assert cli.main(base) == 2
+        assert "'workers'" in capsys.readouterr().err
+        assert cli.main(base + ["--out", str(tmp_path)]) == 2
+        assert "'workers'" in capsys.readouterr().err
+
     def test_unknown_param_exits_two(self, capsys):
         assert cli.main(["estimate", "pi", "--param", "wobble=1"]) == 2
         assert "wobble" in capsys.readouterr().err

@@ -1,13 +1,18 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from blockmonte.combinatorics import (
+    alternating_flags,
     derangement_count,
+    derangement_flags,
     enumerate_permutations,
     is_alternating,
     is_derangement,
+    permutation_rank,
+    permutation_table,
     validate_permutation,
     zigzag_count,
 )
@@ -121,3 +126,51 @@ class TestEnumeration:
     def test_size_limit(self):
         with pytest.raises(ValueError):
             enumerate_permutations(10)
+
+
+class TestRankTables:
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_table_is_the_enumeration_minus_one(self, n):
+        shape = (math.factorial(n), n)
+        expected = np.array(list(enumerate_permutations(n)), dtype=np.int64).reshape(shape) - 1
+        table = permutation_table(n)
+        assert table.shape == shape and table.dtype == np.int8
+        assert (table == expected).all()
+
+    @pytest.mark.parametrize("n", range(0, 10))
+    def test_flag_sums_are_the_exact_counts(self, n):
+        assert derangement_flags(n).sum() == derangement_count(n)
+        assert alternating_flags(n).sum() == zigzag_count(n)
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_flags_agree_with_the_predicates_row_for_row(self, n):
+        perms = list(enumerate_permutations(n))
+        assert derangement_flags(n).tolist() == [is_derangement(p) for p in perms]
+        assert alternating_flags(n).tolist() == [is_alternating(p) for p in perms]
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_rank_and_table_are_inverse(self, n):
+        table = permutation_table(n)
+        for rank, row in enumerate(table):
+            assert permutation_rank(tuple(int(v) + 1 for v in row)) == rank
+        for perm in enumerate_permutations(n):
+            assert (table[permutation_rank(perm)] == np.array(perm) - 1).all()
+
+    def test_rank_examples(self):
+        assert permutation_rank((1, 2, 3, 4)) == 0
+        assert permutation_rank((4, 3, 2, 1)) == 23
+        assert permutation_rank((2, 1, 3)) == 2
+        with pytest.raises(ValueError):
+            permutation_rank((1, 1))
+
+    def test_tables_are_cached_and_read_only(self):
+        assert permutation_table(9) is permutation_table(9)
+        assert derangement_flags(9) is derangement_flags(9)
+        for array in (permutation_table(5), derangement_flags(5), alternating_flags(5)):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    @pytest.mark.parametrize("bad", [-1, 10])
+    def test_table_size_limit(self, bad):
+        with pytest.raises(ValueError):
+            permutation_table(bad)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from blockmonte import estimators
 from blockmonte.combinatorics import derangement_count, zigzag_count
 from blockmonte.errors import DegenerateCourseError, DegenerateSampleError
 from blockmonte.estimators import (
@@ -46,6 +47,21 @@ class TestConfigValidation:
     def test_zero_trials_names_the_field(self):
         with pytest.raises(ValueError, match="trials"):
             ExperimentConfig(variant="pi", trials=0)
+
+    @pytest.mark.parametrize("bad", [2.5, 1000.0, True, "1000", None])
+    def test_non_integer_trials_names_the_field(self, bad):
+        with pytest.raises(ValueError, match="'trials'"):
+            ExperimentConfig(variant="pi", trials=bad)
+
+    @pytest.mark.parametrize("bad", [7.0, False, "7", None])
+    def test_non_integer_seed_names_the_field(self, bad):
+        with pytest.raises(ValueError, match="'seed'"):
+            ExperimentConfig(variant="pi", master_seed=bad)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_non_positive_workers_names_the_field(self, workers):
+        with pytest.raises(ValueError, match="'workers'"):
+            run_config(config("pi", trials=100), workers=workers)
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError, match="wobble"):
@@ -351,3 +367,48 @@ class TestDeterminism:
         assert estimate_pi(cfg, workers=1) == estimate_pi(cfg, workers=4)
         cfg_e = config("e", seed=11, trials=200_000)
         assert estimate_e(cfg_e, workers=1) == estimate_e(cfg_e, workers=3)
+
+
+class TestWorkerPool:
+    """The pool is clamped to min(workers, cores, blocks); a stand-in pool
+    records the size asked for, so no large thread count is ever started."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize("workers, cpus, blocks, expected", [
+        (10 ** 6, 2, 5, [2]),     # cores bound a huge request
+        (64, 128, 3, [3]),        # blocks bound it on a big machine
+        (3, 8, 5, [3]),           # a modest request is kept as asked
+        (10 ** 6, None, 5, []),   # unknown core count: run serially
+        (8, 8, 1, []),            # one block: no pool at all
+    ])
+    def test_pool_size_is_clamped(self, pool_sizes, monkeypatch, workers, cpus, blocks, expected):
+        monkeypatch.setattr(estimators.os, "cpu_count", lambda: cpus)
+        trials = (blocks - 1) * estimators.BLOCK_TRIALS + 7
+        counts = estimators._map_blocks(0, "clamp", trials, lambda stream, count: count, workers)
+        assert sum(counts) == trials and len(counts) == blocks
+        assert pool_sizes == expected
+
+    def test_clamped_pool_keeps_the_record(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(estimators.os, "cpu_count", lambda: 2)
+        cfg = config("e", seed=5, trials=3 * estimators.BLOCK_TRIALS)
+        assert estimate_e(cfg, workers=10 ** 6) == estimate_e(cfg, workers=1)
+        assert pool_sizes == [2]

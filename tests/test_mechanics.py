@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from blockmonte.combinatorics import permutation_rank
 from blockmonte.geometry import GridCell
 from blockmonte.mechanics import (
     Dropper,
@@ -13,6 +14,7 @@ from blockmonte.mechanics import (
     SlimeArena,
     dropper_permutation,
     dropper_permutation_block,
+    dropper_rank_block,
     hopper_item_count,
     hopper_items_in_window,
     slime_death_cell,
@@ -119,6 +121,27 @@ class TestDropper:
         assert len(counts) == 6
         statistic = ((counts - 10000) ** 2 / 10000).sum()
         assert statistic < chi2.ppf(0.999, df=5)
+
+
+    def test_block_rows_are_the_ranked_draws(self):
+        dropper = Dropper(slot_count=5)
+        ranks = dropper_rank_block(dropper, stream(seed=4, label="rank5"), 200)
+        rows = dropper_permutation_block(dropper, stream(seed=4, label="rank5"), 200)
+        assert ranks.min() >= 0 and ranks.max() < 120
+        assert [permutation_rank(row) for row in rows.tolist()] == ranks.tolist()
+
+    def test_scalar_and_rank_kernel_share_one_law(self):
+        # Two-sample chi-squared: 24k scalar orders, ranked, against 24k
+        # block ranks for n = 4 (24 cells of about 1000 each).
+        dropper = Dropper(slot_count=4)
+        s = stream(seed=17, label="tie4")
+        scalar = np.bincount([permutation_rank(dropper_permutation(dropper, s))
+                              for _ in range(24_000)], minlength=24)
+        block = np.bincount(dropper_rank_block(dropper, stream(seed=17, label="tie4blk"), 24_000),
+                            minlength=24)
+        assert scalar.sum() == block.sum() == 24_000 and len(block) == 24
+        statistic = (((scalar - block) ** 2) / (scalar + block)).sum()
+        assert statistic < chi2.ppf(0.999, df=23)
 
 
 class TestRandomTicks:
