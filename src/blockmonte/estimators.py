@@ -10,10 +10,11 @@ blocks.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -47,9 +48,6 @@ VARIANTS = ("sqrt2", "pi", "e", "zeta", "sec_tan", "integral")
 BLOCK_TRIALS = 1 << 16
 
 Z_95 = 1.96
-
-# One simulated observation: a hit flag, an item/tick count, or a death cell.
-TrialOutcome = Union[bool, int, GridCell, tuple]
 
 
 @dataclass(frozen=True)
@@ -92,96 +90,155 @@ class EstimateRecord:
     seed: int | None
     params: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "estimate": self.estimate,
-            "trials_used": self.trials_used,
-            "success_count": self.success_count,
-            "stderr": self.stderr,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "reference": self.reference,
-            "relative_error_percent": self.relative_error_percent,
-            "seed": self.seed,
-            "params": self.params,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EstimateRecord":
-        return cls(**{name: data[name] for name in (
-            "variant", "estimate", "trials_used", "success_count", "stderr",
-            "ci_low", "ci_high", "reference", "relative_error_percent",
-            "seed", "params")})
-
 
 # ---------------------------------------------------------------------------
-# parameter plumbing
+# parameter table
 
 
-def _take(params: dict, key: str, default):
-    return params[key] if key in params else default
+@dataclass(frozen=True)
+class Param:
+    """One entry of a variant's parameter table.
+
+    ``kind`` is int, float, bool, choice, str or pair (two ``item`` values).
+    Bounds are inclusive (``minimum``, ``maximum``) or exclusive (``above``);
+    a pair's bounds apply to each of its values.  Defaults are used as given.
+    """
+
+    kind: str
+    default: object = None
+    minimum: float | None = None
+    maximum: float | None = None
+    above: float | None = None
+    choices: tuple[str, ...] = ()
+    item: str = "float"
+
+    def coerce(self, name: str, raw):
+        """``raw`` (a manifest or CLI string, or a Python value) as this
+        entry's kind; a bad value raises ValueError naming ``name``."""
+        if self.kind != "pair":
+            return self._scalar(name, self.kind, raw)
+        parts = raw.split(",") if isinstance(raw, str) else raw
+        try:
+            first, second = parts
+        except (TypeError, ValueError):
+            raise ValueError(f"invalid value for '{name}': {raw!r} is not a pair") from None
+        return self._scalar(name, self.item, first), self._scalar(name, self.item, second)
+
+    def _scalar(self, name: str, kind: str, raw):
+        def bad(why: str) -> ValueError:
+            return ValueError(f"invalid value for '{name}': {why}")
+
+        if kind in ("str", "choice"):
+            value = str(raw)
+            if kind == "choice" and value not in self.choices:
+                raise bad(f"{value!r} (expected one of {', '.join(self.choices)})")
+            return value
+        if kind == "bool":
+            if isinstance(raw, bool):
+                return raw
+            text = str(raw).strip().lower()
+            if text in ("1", "true", "yes", "on"):
+                return True
+            if text in ("0", "false", "no", "off"):
+                return False
+            raise bad(f"{raw!r} is not a boolean")
+        expected = "an integer" if kind == "int" else "a number"
+        if isinstance(raw, bool):
+            raise bad(f"{raw!r} is not {expected}")
+        try:
+            if kind == "int":
+                value = int(raw) if isinstance(raw, str) else operator.index(raw)
+            else:
+                value = float(raw)
+        except (TypeError, ValueError):
+            raise bad(f"{raw!r} is not {expected}") from None
+        if kind == "float" and not math.isfinite(value):
+            raise bad(f"{raw!r} is not finite")
+        if self.minimum is not None and value < self.minimum:
+            raise bad(f"must be >= {self.minimum}")
+        if self.maximum is not None and value > self.maximum:
+            raise bad(f"must be <= {self.maximum}")
+        if self.above is not None and not value > self.above:
+            raise bad(f"must be > {self.above}")
+        return value
 
 
-def _as_int(params: dict, key: str, default: int, minimum=None, maximum=None) -> int:
-    raw = _take(params, key, default)
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"invalid value for '{key}': {raw!r} is not an integer") from None
-    if minimum is not None and value < minimum:
-        raise ValueError(f"invalid value for '{key}': must be >= {minimum}")
-    if maximum is not None and value > maximum:
-        raise ValueError(f"invalid value for '{key}': must be <= {maximum}")
-    return value
+_COUNTS_PARAMS = {
+    "counts": Param("pair", minimum=0, item="int"),
+    "reported_decimals": Param("int", minimum=0),  # default: the variant's own style
+}
+
+# Per variant, in params-echo order.  "<variant>/counts" tables apply when a
+# config replays recorded counts instead of sampling.
+PARAMS: dict[str, dict[str, Param]] = {
+    "sqrt2": {
+        "leg_blocks": Param("int", 100, minimum=1),
+        "speed": Param("float", 4.317, above=0),
+        "period": Param("float", 0.4, above=0),
+        "random_start_phase": Param("bool", False),
+    },
+    "pi": {
+        "radius": Param("int", 50, minimum=1),
+        "sampler_mode": Param("choice", "uniform_ideal",
+                              choices=("uniform_ideal", "slime_walk", "slime_walk_drift")),
+        "raster_mode": Param("choice", "exact_disc", choices=("raster", "exact_disc")),
+        "step_cells": Param("float", 0.8, above=0),
+        "turn_probability": Param("float", 0.2, minimum=0, maximum=1),
+        "kill_probability": Param("float", 0.05, above=0, maximum=1),
+        "drift": Param("pair", (0.0, 0.0)),  # slime_walk_drift: (0.3, -0.3)
+    },
+    "e": {
+        "permutation_size": Param("int", 9, minimum=2, maximum=9),
+    },
+    "zeta": {
+        "m": Param("int", 3, minimum=2),
+        "sampler_mode": Param("choice", "uniform", choices=("uniform", "random_tick")),
+        "value_bound": Param("int", 10 ** 6, minimum=2),
+        "growth_prob": Param("float", 1.0 / 3.0, above=0, maximum=1),
+        "speed_multiplier": Param("int", 64, minimum=1),
+    },
+    "sec_tan": {
+        "max_size": Param("int", 9, minimum=0, maximum=9),
+    },
+    "integral": {
+        "function_spec": Param("str", "x**2*sin(x) + cbrt(x)"),
+        "a": Param("int", 0),
+        "b": Param("int", 8),
+        "raster_mode": Param("choice", "continuous", choices=("continuous", "rasterized")),
+    },
+    "sqrt2/counts": _COUNTS_PARAMS,
+    "pi/counts": _COUNTS_PARAMS,
+    "e/counts": _COUNTS_PARAMS,
+    "zeta/counts": {**_COUNTS_PARAMS, "m": Param("int", 3, minimum=2)},
+}
 
 
-def _as_float(params: dict, key: str, default: float, positive: bool = False) -> float:
-    raw = _take(params, key, default)
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"invalid value for '{key}': {raw!r} is not a number") from None
-    if positive and not value > 0:
-        raise ValueError(f"invalid value for '{key}': must be > 0")
-    return value
+def resolve_params(variant: str, raw: dict) -> dict:
+    """Coerce ``raw`` against ``PARAMS[variant]``, defaults filling the rest.
 
-
-def _as_bool(params: dict, key: str, default: bool) -> bool:
-    raw = _take(params, key, default)
-    if isinstance(raw, bool):
-        return raw
-    text = str(raw).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"invalid value for '{key}': {raw!r} is not a boolean")
-
-
-def _as_choice(params: dict, key: str, default: str, choices: tuple[str, ...]) -> str:
-    value = str(_take(params, key, default))
-    if value not in choices:
-        raise ValueError(f"invalid value for '{key}': {value!r} "
-                         f"(expected one of {', '.join(choices)})")
-    return value
-
-
-def _as_pair(params: dict, key: str, default: tuple[float, float]) -> tuple[float, float]:
-    raw = _take(params, key, default)
-    if isinstance(raw, str):
-        raw = raw.split(",")
-    try:
-        first, second = (float(v) for v in raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"invalid value for '{key}': {raw!r} is not a pair of numbers") from None
-    return first, second
-
-
-def _reject_unknown(params: dict, variant: str, known: tuple[str, ...]) -> None:
-    for key in params:
-        if key not in known:
+    Returns the params echo: table order, pairs as lists.  Unknown keys and
+    bad values raise ValueError naming the field.
+    """
+    if variant not in PARAMS:
+        raise ValueError(f"invalid value for 'variant': {variant!r} "
+                         f"(expected one of {', '.join(PARAMS)})")
+    table = PARAMS[variant]
+    for key in raw:
+        if key not in table:
             raise ValueError(f"unknown parameter '{key}' for variant '{variant}'")
+    params = {}
+    for name, entry in table.items():
+        value = entry.coerce(name, raw[name]) if name in raw else entry.default
+        params[name] = list(value) if isinstance(value, tuple) else value
+    if variant == "pi":
+        if params["sampler_mode"] == "slime_walk_drift":
+            if "drift" not in raw:
+                params["drift"] = [0.3, -0.3]
+        elif params["drift"] != [0.0, 0.0]:
+            raise ValueError("invalid value for 'drift': only slime_walk_drift accepts a bias")
+    if variant == "integral" and not params["a"] < params["b"]:
+        raise ValueError("invalid value for 'b': bounds must satisfy a < b")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -199,23 +256,33 @@ def _block_plan(trials: int) -> list[tuple[int, int]]:
     return plan
 
 
-def _map_blocks(seed: int, label: str, trials: int, block_fn: Callable, workers: int = 1) -> list:
-    """Run block_fn(stream, count) for each block; results in block order.
+def _map_blocks(seed: int, jobs: list[tuple[str, int, Callable]], workers: int = 1) -> list:
+    """Run every job's blocks on one pool; return one total per job.
 
-    The pool never has more threads than cores or blocks, whatever
-    ``workers`` asks for.
+    Job (label, trials, block_fn) calls block_fn(stream, count) on each of
+    its blocks, block i drawing from the stream (seed, (label, i)); its total
+    adds the block results in block order.  The pool never has more threads
+    than cores or blocks, whatever ``workers`` asks for.
     """
-    plan = _block_plan(trials)
+    plan = [(job, index, count)
+            for job, (_, trials, _) in enumerate(jobs)
+            for index, count in _block_plan(trials)]
 
     def run_one(item):
-        index, count = item
+        job, index, count = item
+        label, _, block_fn = jobs[job]
         return block_fn(derive_stream(seed, StreamId(label, index)), count)
 
     workers = min(workers, os.cpu_count() or 1, len(plan))
     if workers <= 1:
-        return [run_one(item) for item in plan]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, plan))
+        results = [run_one(item) for item in plan]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_one, plan))
+    totals = [0] * len(jobs)
+    for (job, _, _), result in zip(plan, results):
+        totals[job] = totals[job] + result
+    return totals
 
 
 def _flagged_orders(dropper: Dropper, flags: np.ndarray) -> Callable:
@@ -234,70 +301,59 @@ def _flagged_orders(dropper: Dropper, flags: np.ndarray) -> Callable:
 # pi
 
 
-_PI_SAMPLERS = ("uniform_ideal", "slime_walk", "slime_walk_drift")
-_PI_MEMBERSHIP = ("raster", "exact_disc")
-
-
-def _resolve_pi_params(variant_params: dict) -> dict:
-    _reject_unknown(variant_params, "pi", (
-        "radius", "sampler_mode", "raster_mode", "step_cells",
-        "turn_probability", "kill_probability", "drift"))
-    sampler = _as_choice(variant_params, "sampler_mode", "uniform_ideal", _PI_SAMPLERS)
-    default_drift = (0.3, -0.3) if sampler == "slime_walk_drift" else (0.0, 0.0)
-    drift = _as_pair(variant_params, "drift", default_drift)
-    if sampler != "slime_walk_drift" and drift != (0.0, 0.0):
-        raise ValueError("invalid value for 'drift': only slime_walk_drift accepts a bias")
-    return {
-        "radius": _as_int(variant_params, "radius", 50, minimum=1),
-        "sampler_mode": sampler,
-        "raster_mode": _as_choice(variant_params, "raster_mode", "exact_disc", _PI_MEMBERSHIP),
-        "step_cells": _as_float(variant_params, "step_cells", 0.8, positive=True),
-        "turn_probability": _as_float(variant_params, "turn_probability", 0.2),
-        "kill_probability": _as_float(variant_params, "kill_probability", 0.05),
-        "drift": drift,
-    }
-
-
-def _pi_arena(resolved: dict) -> SlimeArena:
+def _pi_arena(params: dict) -> SlimeArena | None:
+    """The slime arena of a slime sampler; None for uniform_ideal."""
+    if params["sampler_mode"] == "uniform_ideal":
+        return None
     return SlimeArena(
-        half_width=resolved["radius"],
-        step_cells=resolved["step_cells"],
-        turn_probability=resolved["turn_probability"],
-        drift_bias=resolved["drift"],
-        kill_probability=resolved["kill_probability"],
+        half_width=params["radius"],
+        step_cells=params["step_cells"],
+        turn_probability=params["turn_probability"],
+        drift_bias=tuple(params["drift"]),
+        kill_probability=params["kill_probability"],
     )
 
 
-def _pi_inside_mask(stream, count: int, resolved: dict, raster, arena) -> np.ndarray:
-    radius = resolved["radius"]
-    if resolved["sampler_mode"] == "uniform_ideal":
-        # Continuous points uniform on the circumscribed square of the disc
-        # (side 2R, centered on the origin cell's center): hit chance pi/4.
-        xs = 0.5 + (2.0 * stream.float_block(count) - 1.0) * radius
-        zs = 0.5 + (2.0 * stream.float_block(count) - 1.0) * radius
-        if resolved["raster_mode"] == "exact_disc":
-            return (xs - 0.5) ** 2 + (zs - 0.5) ** 2 <= float(radius) ** 2
-        cx = np.floor(xs).astype(np.int64)
-        cz = np.floor(zs).astype(np.int64)
-        return raster.contains_cells(cx, cz)
+def _uniform_points(stream, count: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous points uniform on the circumscribed square of the disc
+    (side 2R, centered on the origin cell's center): hit chance pi/4."""
+    xs = 0.5 + (2.0 * stream.float_block(count) - 1.0) * radius
+    zs = 0.5 + (2.0 * stream.float_block(count) - 1.0) * radius
+    return xs, zs
+
+
+def _pi_cells(stream, count: int, radius: int, arena) -> tuple[np.ndarray, np.ndarray]:
+    """Cell coordinates of ``count`` sampled points: the cells holding
+    uniform points, or slime death cells."""
+    if arena is None:
+        xs, zs = _uniform_points(stream, count, radius)
+        return np.floor(xs).astype(np.int64), np.floor(zs).astype(np.int64)
     cells = slime_death_cells(arena, stream, count)
-    cx, cz = cells[:, 0], cells[:, 1]
-    if resolved["raster_mode"] == "exact_disc":
+    return cells[:, 0], cells[:, 1]
+
+
+def _pi_inside_mask(stream, count: int, params: dict, raster, arena) -> np.ndarray:
+    radius = params["radius"]
+    if params["raster_mode"] == "exact_disc":
+        if arena is None:
+            xs, zs = _uniform_points(stream, count, radius)
+            return (xs - 0.5) ** 2 + (zs - 0.5) ** 2 <= float(radius) ** 2
+        cx, cz = _pi_cells(stream, count, radius, arena)
         return cx * cx + cz * cz <= radius * radius
-    return raster.contains_cells(cx, cz)
+    return raster.contains_cells(*_pi_cells(stream, count, radius, arena))
 
 
 def estimate_pi(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Monte Carlo disc experiment: estimate = 4 * inside / total."""
-    resolved = _resolve_pi_params(config.variant_params)
-    raster = rasterize_circle(resolved["radius"])
+    params = resolve_params("pi", config.variant_params)
+    raster = rasterize_circle(params["radius"])
     raster.mask  # build the lookup once, before any worker threads share it
-    arena = _pi_arena(resolved) if resolved["sampler_mode"] != "uniform_ideal" else None
+    arena = _pi_arena(params)
 
     def block(stream, count):
-        return int(_pi_inside_mask(stream, count, resolved, raster, arena).sum())
+        return int(_pi_inside_mask(stream, count, params, raster, arena).sum())
 
-    inside = sum(_map_blocks(config.master_seed, "pi", config.trials, block, workers))
+    [inside] = _map_blocks(config.master_seed, [("pi", config.trials, block)], workers)
     estimate = 4.0 * inside / config.trials
     p_hat = inside / config.trials
     low, high = wilson_ci(inside, config.trials, Z_95)
@@ -312,7 +368,7 @@ def estimate_pi(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
         reference=CONSTANTS.pi,
         relative_error_percent=relative_error(estimate, CONSTANTS.pi),
         seed=config.master_seed,
-        params=_echo(resolved),
+        params=params,
     )
 
 
@@ -323,28 +379,14 @@ def collect_pi_outcomes(config: ExperimentConfig, limit: int = 10_000) -> list[G
     reproducible sample of the configured experiment rather than a prefix
     of the full estimating run.
     """
-    resolved = _resolve_pi_params(config.variant_params)
-    count = min(config.trials, limit)
+    params = resolve_params("pi", config.variant_params)
     stream = derive_stream(config.master_seed, StreamId("pi/scatter", 0))
-    if resolved["sampler_mode"] == "uniform_ideal":
-        radius = resolved["radius"]
-        xs = 0.5 + (2.0 * stream.float_block(count) - 1.0) * radius
-        zs = 0.5 + (2.0 * stream.float_block(count) - 1.0) * radius
-        cells = np.column_stack((np.floor(xs).astype(np.int64),
-                                 np.floor(zs).astype(np.int64)))
-    else:
-        cells = slime_death_cells(_pi_arena(resolved), stream, count)
-    return [GridCell(int(x), int(z)) for x, z in cells]
+    cx, cz = _pi_cells(stream, min(config.trials, limit), params["radius"], _pi_arena(params))
+    return [GridCell(x, z) for x, z in zip(cx.tolist(), cz.tolist())]
 
 
 # ---------------------------------------------------------------------------
 # e
-
-
-def _resolve_e_params(variant_params: dict) -> dict:
-    _reject_unknown(variant_params, "e", ("permutation_size",))
-    return {"permutation_size": _as_int(variant_params, "permutation_size", 9,
-                                        minimum=2, maximum=9)}
 
 
 def estimate_e(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
@@ -354,10 +396,10 @@ def estimate_e(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     between 9!/D(9) and e is ~1.9e-6, far below sampling noise at any
     achievable trial count.
     """
-    resolved = _resolve_e_params(config.variant_params)
-    size = resolved["permutation_size"]
+    params = resolve_params("e", config.variant_params)
+    size = params["permutation_size"]
     block = _flagged_orders(Dropper(slot_count=size), derangement_flags(size))
-    derangements = sum(_map_blocks(config.master_seed, "e", config.trials, block, workers))
+    [derangements] = _map_blocks(config.master_seed, [("e", config.trials, block)], workers)
     if derangements == 0:
         raise DegenerateSampleError("no derangements observed; cannot form trials/derangements")
     estimate = config.trials / derangements
@@ -373,28 +415,12 @@ def estimate_e(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
         reference=CONSTANTS.e,
         relative_error_percent=relative_error(estimate, CONSTANTS.e),
         seed=config.master_seed,
-        params=_echo(resolved),
+        params=params,
     )
 
 
 # ---------------------------------------------------------------------------
 # zeta
-
-
-def _resolve_zeta_params(variant_params: dict) -> dict:
-    _reject_unknown(variant_params, "zeta", (
-        "m", "sampler_mode", "value_bound", "growth_prob", "speed_multiplier"))
-    sampler = _as_choice(variant_params, "sampler_mode", "uniform", ("uniform", "random_tick"))
-    resolved = {
-        "m": _as_int(variant_params, "m", 3, minimum=2),
-        "sampler_mode": sampler,
-        "value_bound": _as_int(variant_params, "value_bound", 10 ** 6, minimum=2),
-        "growth_prob": _as_float(variant_params, "growth_prob", 1.0 / 3.0, positive=True),
-        "speed_multiplier": _as_int(variant_params, "speed_multiplier", 64, minimum=1),
-    }
-    if not resolved["growth_prob"] <= 1.0:
-        raise ValueError("invalid value for 'growth_prob': must be <= 1")
-    return resolved
 
 
 def _coprime_rows(values: np.ndarray) -> int:
@@ -428,36 +454,35 @@ def estimate_zeta(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     flags in its params.  For even m the record also carries the implied
     pi^m value, since zeta(2k) is a rational multiple of pi^(2k).
     """
-    resolved = _resolve_zeta_params(config.variant_params)
-    m = resolved["m"]
-    if resolved["sampler_mode"] == "uniform":
-        bound = resolved["value_bound"]
+    params = resolve_params("zeta", config.variant_params)
+    m = params["m"]
+    uniform = params["sampler_mode"] == "uniform"
+    if uniform:
+        bound = params["value_bound"]
 
         def block(stream, count):
             return _coprime_rows(stream.int_below_block(bound, (count, m)) + 1)
     else:
-        sched = RandomTickScheduler(speed_multiplier=resolved["speed_multiplier"])
-        growth = resolved["growth_prob"]
+        sched = RandomTickScheduler(speed_multiplier=params["speed_multiplier"])
+        growth = params["growth_prob"]
 
         def block(stream, count):
             return _coprime_rows(ticks_until_growth_block(sched, growth, stream, (count, m)))
 
-    coprime = sum(_map_blocks(config.master_seed, "zeta", config.trials, block, workers))
+    [coprime] = _map_blocks(config.master_seed, [("zeta", config.trials, block)], workers)
     if coprime == 0:
         raise DegenerateSampleError("no coprime tuples observed; cannot form trials/coprime")
     estimate = config.trials / coprime
     reference = reference_zeta(m)
     low, high = wilson_ci(coprime, config.trials, Z_95)
-    echo = _echo(resolved)
-    echo["value_distribution"] = ("uniform" if resolved["sampler_mode"] == "uniform"
-                                  else "negative_binomial_non_uniform")
+    params["value_distribution"] = "uniform" if uniform else "negative_binomial_non_uniform"
     stderr = ratio_stderr(coprime, config.trials)
     if m in ZETA_EVEN_PI_COEFFICIENT:
         scale = 1.0 / float(ZETA_EVEN_PI_COEFFICIENT[m])
-        echo["pi_power"] = m
-        echo["pi_power_estimate"] = scale * estimate
-        echo["pi_power_stderr"] = scale * stderr
-        echo["pi_power_reference"] = CONSTANTS.pi ** m
+        params["pi_power"] = m
+        params["pi_power_estimate"] = scale * estimate
+        params["pi_power_stderr"] = scale * stderr
+        params["pi_power_reference"] = CONSTANTS.pi ** m
     return EstimateRecord(
         variant="zeta",
         estimate=estimate,
@@ -469,17 +494,12 @@ def estimate_zeta(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
         reference=reference,
         relative_error_percent=relative_error(estimate, reference),
         seed=config.master_seed,
-        params=echo,
+        params=params,
     )
 
 
 # ---------------------------------------------------------------------------
 # sec(1) + tan(1)
-
-
-def _resolve_sec_tan_params(variant_params: dict) -> dict:
-    _reject_unknown(variant_params, "sec_tan", ("max_size",))
-    return {"max_size": _as_int(variant_params, "max_size", 9, minimum=0, maximum=9)}
 
 
 def estimate_sec_tan(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
@@ -489,28 +509,26 @@ def estimate_sec_tan(config: ExperimentConfig, workers: int = 1) -> EstimateReco
     config.trials sampled permutations.  The estimand is the max_size
     partial sum of the series whose limit is sec(1)+tan(1).
     """
-    resolved = _resolve_sec_tan_params(config.variant_params)
-    max_size = resolved["max_size"]
-    estimate = float(min(max_size + 1, 2))
+    params = resolve_params("sec_tan", config.variant_params)
+    sizes = range(2, params["max_size"] + 1)
+    jobs = [(f"sec_tan/size{size}", config.trials,
+             _flagged_orders(Dropper(slot_count=size), alternating_flags(size)))
+            for size in sizes]
+    per_size = [[size, hits] for size, hits in
+                zip(sizes, _map_blocks(config.master_seed, jobs, workers))]
+    estimate = float(min(params["max_size"] + 1, 2))
     variance = 0.0
-    per_size = []
-    for size in range(2, max_size + 1):
-        block = _flagged_orders(Dropper(slot_count=size), alternating_flags(size))
-        hits = sum(_map_blocks(config.master_seed, f"sec_tan/size{size}",
-                               config.trials, block, workers))
+    for _, hits in per_size:
         fraction = hits / config.trials
         estimate += fraction
         variance += fraction * (1.0 - fraction) / config.trials
-        per_size.append([size, hits])
     stderr = math.sqrt(variance)
-    sampled_sizes = max(0, max_size - 1)
-    echo = _echo(resolved)
-    echo["trials_per_size"] = config.trials
-    echo["alternating_counts"] = per_size
+    params["trials_per_size"] = config.trials
+    params["alternating_counts"] = per_size
     return EstimateRecord(
         variant="sec_tan",
         estimate=estimate,
-        trials_used=config.trials * sampled_sizes,
+        trials_used=config.trials * len(sizes),
         success_count=None,
         stderr=stderr,
         ci_low=estimate - Z_95 * stderr,
@@ -518,7 +536,7 @@ def estimate_sec_tan(config: ExperimentConfig, workers: int = 1) -> EstimateReco
         reference=CONSTANTS.sec1_plus_tan1,
         relative_error_percent=relative_error(estimate, CONSTANTS.sec1_plus_tan1),
         seed=config.master_seed,
-        params=echo,
+        params=params,
     )
 
 
@@ -559,20 +577,6 @@ def parse_function(expression: str) -> Callable:
     return evaluate
 
 
-def _resolve_integral_params(variant_params: dict) -> dict:
-    _reject_unknown(variant_params, "integral", ("function_spec", "a", "b", "raster_mode"))
-    resolved = {
-        "function_spec": str(_take(variant_params, "function_spec", "x**2*sin(x) + cbrt(x)")),
-        "a": _as_int(variant_params, "a", 0),
-        "b": _as_int(variant_params, "b", 8),
-        "raster_mode": _as_choice(variant_params, "raster_mode", "continuous",
-                                  ("continuous", "rasterized")),
-    }
-    if not resolved["a"] < resolved["b"]:
-        raise ValueError("invalid value for 'b': bounds must satisfy a < b")
-    return resolved
-
-
 def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Signed-area Monte Carlo for the integral of f over [a, b].
 
@@ -582,10 +586,10 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
     the exact signed sum of column areas; in continuous mode the reference
     comes from adaptive quadrature.
     """
-    resolved = _resolve_integral_params(config.variant_params)
-    f = parse_function(resolved["function_spec"])
-    a, b = resolved["a"], resolved["b"]
-    rasterized = resolved["raster_mode"] == "rasterized"
+    params = resolve_params("integral", config.variant_params)
+    f = parse_function(params["function_spec"])
+    a, b = params["a"], params["b"]
+    rasterized = params["raster_mode"] == "rasterized"
 
     dense = np.asarray(f(np.linspace(a, b, _EXTREMA_SAMPLES)), dtype=float)
     if not np.isfinite(dense).all():
@@ -604,18 +608,17 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
 
         reference = float(quad(f, a, b, limit=200)[0])
 
-    echo = _echo(resolved)
     if y_high == y_low:
         # Only an identically-zero curve produces a flat box (the box always
         # spans 0); nothing can land strictly above or below the axis, so
         # the net estimate is exactly 0 and no sampling is needed.
-        echo["note"] = "flat zero curve; estimate exact"
+        params["note"] = "flat zero curve; estimate exact"
         return EstimateRecord(
             variant="integral", estimate=0.0, trials_used=config.trials,
             success_count=0, stderr=0.0, ci_low=0.0, ci_high=0.0,
             reference=reference,
             relative_error_percent=(relative_error(0.0, reference) if reference != 0 else None),
-            seed=config.master_seed, params=echo)
+            seed=config.master_seed, params=params)
     if not (math.isfinite(y_low) and math.isfinite(y_high)):
         raise DegenerateRegionError("sampling box is unbounded")
 
@@ -629,19 +632,18 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
             curve_vals = heights[columns]
         else:
             curve_vals = np.asarray(f(xs), dtype=float)
-        above = int(((ys > 0) & (ys <= curve_vals)).sum())
-        below = int(((ys < 0) & (ys >= curve_vals)).sum())
-        return above, below
+        above = np.count_nonzero((ys > 0) & (ys <= curve_vals))
+        below = np.count_nonzero((ys < 0) & (ys >= curve_vals))
+        return np.array([above, below], dtype=np.int64)
 
-    parts = _map_blocks(config.master_seed, "integral", config.trials, block, workers)
-    above = sum(p[0] for p in parts)
-    below = sum(p[1] for p in parts)
+    [hits] = _map_blocks(config.master_seed, [("integral", config.trials, block)], workers)
+    above, below = (int(h) for h in hits)
     net = (above - below) / config.trials
     hit = (above + below) / config.trials
     estimate = net * box_area
     stderr = box_area * math.sqrt(max(0.0, hit - net * net) / config.trials)
-    echo["hits_above"] = above
-    echo["hits_below"] = below
+    params["hits_above"] = above
+    params["hits_below"] = below
     return EstimateRecord(
         variant="integral",
         estimate=estimate,
@@ -653,23 +655,12 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
         reference=reference,
         relative_error_percent=(relative_error(estimate, reference) if reference != 0 else None),
         seed=config.master_seed,
-        params=echo,
+        params=params,
     )
 
 
 # ---------------------------------------------------------------------------
 # sqrt(2)
-
-
-def _resolve_sqrt2_params(variant_params: dict) -> dict:
-    _reject_unknown(variant_params, "sqrt2", (
-        "leg_blocks", "speed", "period", "random_start_phase"))
-    return {
-        "leg_blocks": _as_int(variant_params, "leg_blocks", 100, minimum=1),
-        "speed": _as_float(variant_params, "speed", 4.317, positive=True),
-        "period": _as_float(variant_params, "period", 0.4, positive=True),
-        "random_start_phase": _as_bool(variant_params, "random_start_phase", False),
-    }
 
 
 def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
@@ -679,12 +670,12 @@ def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord
     With random_start_phase the two timing windows each get a start offset
     uniform in [0, period), modelling a timer that was already running.
     """
-    resolved = _resolve_sqrt2_params(config.variant_params)
-    course = TriangleCourse(leg_blocks=resolved["leg_blocks"],
-                            speed_blocks_per_second=resolved["speed"])
-    timer = HopperTimer(period_seconds=resolved["period"])
+    params = resolve_params("sqrt2", config.variant_params)
+    course = TriangleCourse(leg_blocks=params["leg_blocks"],
+                            speed_blocks_per_second=params["speed"])
+    timer = HopperTimer(period_seconds=params["period"])
     leg_time, hyp_time = traversal_seconds(course)
-    if resolved["random_start_phase"]:
+    if params["random_start_phase"]:
         stream = derive_stream(config.master_seed, StreamId("sqrt2", 0))
         leg_phase = stream.next_float() * timer.period_seconds
         hyp_phase = stream.next_float() * timer.period_seconds
@@ -696,9 +687,8 @@ def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord
         raise DegenerateCourseError(
             "leg traversal finished before the timer released a single item")
     estimate = hyp_items / leg_items
-    echo = _echo(resolved)
-    echo["leg_items"] = leg_items
-    echo["hyp_items"] = hyp_items
+    params["leg_items"] = leg_items
+    params["hyp_items"] = hyp_items
     return EstimateRecord(
         variant="sqrt2",
         estimate=estimate,
@@ -710,7 +700,7 @@ def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord
         reference=CONSTANTS.sqrt2,
         relative_error_percent=relative_error(estimate, CONSTANTS.sqrt2),
         seed=config.master_seed,
-        params=echo,
+        params=params,
     )
 
 
@@ -819,31 +809,8 @@ def run_config(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Execute one experiment config (or replay its counts) into a record."""
     if workers < 1:
         raise ValueError("invalid value for 'workers': must be >= 1")
-    params = dict(config.variant_params)
-    if "counts" in params:
-        raw = params.pop("counts")
-        if isinstance(raw, str):
-            raw = raw.split(",")
-        try:
-            counts = tuple(int(v) for v in raw)
-        except (TypeError, ValueError):
-            raise ValueError(f"invalid value for 'counts': {raw!r}") from None
-        if len(counts) != 2:
-            raise ValueError("invalid value for 'counts': expected two integers")
-        m = _as_int(params, "m", 3, minimum=2) if config.variant == "zeta" else 3
-        decimals = params.pop("reported_decimals", None)
-        extras = {k: v for k, v in params.items() if k != "m"}
-        if extras:
-            raise ValueError(f"unknown parameter '{next(iter(extras))}' for counts replay")
-        return estimate_from_counts(
-            config.variant, counts, m=m,
-            reported_decimals=None if decimals is None else int(decimals))
+    if "counts" in config.variant_params:
+        params = resolve_params(f"{config.variant}/counts", config.variant_params)
+        return estimate_from_counts(config.variant, params["counts"], m=params.get("m", 3),
+                                    reported_decimals=params["reported_decimals"])
     return _ESTIMATORS[config.variant](config, workers=workers)
-
-
-def _echo(resolved: dict) -> dict:
-    """JSON-safe copy of resolved params (tuples become lists)."""
-    out = {}
-    for key, value in resolved.items():
-        out[key] = list(value) if isinstance(value, tuple) else value
-    return out

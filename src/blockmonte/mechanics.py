@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import Permutation, permutation_table
-from .geometry import CircleRaster, GridCell, rasterize_circle
+from .geometry import GridCell
 from .rng import RngStream, geometric_trials
 
 # Hoppers move 2.5 items per second.
@@ -162,7 +162,6 @@ class SlimeArena:
     """
 
     half_width: int
-    raster: CircleRaster | None = None
     step_cells: float = 0.8
     turn_probability: float = 0.2
     drift_bias: tuple[float, float] = (0.0, 0.0)
@@ -177,14 +176,9 @@ class SlimeArena:
             raise ValueError("turn_probability must be in [0, 1]")
         if not 0.0 < self.kill_probability <= 1.0:
             raise ValueError("kill_probability must be in (0, 1]")
-        if self.raster is not None and self.raster.radius > self.half_width:
-            raise ValueError("raster must fit inside the square")
         reach = self.step_cells + max(abs(self.drift_bias[0]), abs(self.drift_bias[1]))
         if reach >= 2 * self.half_width + 1:
             raise ValueError("step plus drift must stay below the square side")
-
-    def circle(self) -> CircleRaster:
-        return self.raster if self.raster is not None else rasterize_circle(self.half_width)
 
     @property
     def bounds(self) -> tuple[float, float]:

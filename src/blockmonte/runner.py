@@ -177,7 +177,9 @@ def write_reports(manifest: RunManifest, records: list[EstimateRecord]) -> list[
         written.append(path)
     if "svg" in manifest.formats:
         for index, (config, record) in enumerate(zip(manifest.configs, records)):
-            if config.variant != "pi" or record.estimate is None:
+            # A counts replay kept no dots to draw.
+            if (config.variant != "pi" or record.estimate is None
+                    or "counts" in config.variant_params):
                 continue
             path = manifest.output_dir / f"{manifest.run_id}_{index:02d}_pi.svg"
             radius = int(record.params.get("radius", 50))

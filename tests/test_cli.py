@@ -195,6 +195,25 @@ class TestCommandLine:
         assert cli.main(["estimate", "pi", "--param", "wobble=1"]) == 2
         assert "wobble" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["pi", "--param", "sampler_mode=slime_walk_drift", "--param", "drift=nan,0"], "drift"),
+        (["sqrt2", "--param", "period=inf"], "period"),
+        (["e", "--from-counts", "647,238", "--param", "m=5"], "m"),
+        (["pi", "--from-counts", "508,619", "--param", "reported_decimals=-1"],
+         "reported_decimals"),
+        (["pi", "--from-counts", "508,619", "--param", "reported_decimals=x"],
+         "reported_decimals"),
+    ])
+    def test_bad_param_exits_two_and_names_field(self, capsys, argv, field):
+        assert cli.main(["estimate", *argv, "--trials", "100"]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_counts_replay_with_svg_skips_the_plot(self, tmp_path, capsys):
+        code = cli.main(["estimate", "pi", "--from-counts", "508,619",
+                         "--out", str(tmp_path), "--format", "jsonl,svg"])
+        assert code == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["pi.jsonl"]
+
     def test_degenerate_exits_one(self, capsys):
         code = cli.main(["estimate", "sqrt2", "--param", "leg_blocks=1",
                          "--param", "speed=100"])

@@ -75,6 +75,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="drift"):
             estimate_pi(config("pi", drift="0.3,-0.3"))
 
+    @pytest.mark.parametrize("variant, params, field", [
+        ("pi", {"radius": 2.9}, "radius"),
+        ("pi", {"radius": True}, "radius"),
+        ("pi", {"sampler_mode": "slime_walk_drift", "drift": "nan,0"}, "drift"),
+        ("pi", {"step_cells": "inf"}, "step_cells"),
+        ("sqrt2", {"period": "inf"}, "period"),
+        ("pi", {"counts": [508.9, 619.2]}, "counts"),
+        ("e", {"counts": "647,238", "m": "5"}, "m"),
+        ("pi", {"counts": "508,619", "reported_decimals": "-1"}, "reported_decimals"),
+        ("pi", {"counts": "508,619", "reported_decimals": "three"}, "reported_decimals"),
+    ])
+    def test_bad_value_names_its_field(self, variant, params, field):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            run_config(config(variant, trials=100, **params))
+
     def test_string_params_are_coerced(self):
         record = estimate_pi(config("pi", trials=1000, radius="11",
                                     raster_mode="raster", sampler_mode="uniform_ideal"))
@@ -215,8 +230,9 @@ class TestE:
                                         variant_params={"permutation_size": 2}))
 
     def test_size_bounds(self):
-        with pytest.raises(ValueError, match="permutation_size"):
-            estimate_e(config("e", permutation_size=10))
+        for bad in (10, 9.99, True):
+            with pytest.raises(ValueError, match="permutation_size"):
+                estimate_e(config("e", permutation_size=bad))
 
 
 class TestZeta:
@@ -246,8 +262,9 @@ class TestZeta:
         assert record.estimate > 1.0
 
     def test_m_validation(self):
-        with pytest.raises(ValueError, match="'m'"):
-            estimate_zeta(config("zeta", m=1))
+        for bad in (1, 3.5, True):
+            with pytest.raises(ValueError, match="'m'"):
+                estimate_zeta(config("zeta", m=bad))
 
 
 class TestSecTan:
@@ -403,12 +420,19 @@ class TestWorkerPool:
     def test_pool_size_is_clamped(self, pool_sizes, monkeypatch, workers, cpus, blocks, expected):
         monkeypatch.setattr(estimators.os, "cpu_count", lambda: cpus)
         trials = (blocks - 1) * estimators.BLOCK_TRIALS + 7
-        counts = estimators._map_blocks(0, "clamp", trials, lambda stream, count: count, workers)
-        assert sum(counts) == trials and len(counts) == blocks
+        totals = estimators._map_blocks(0, [("clamp", trials, lambda stream, count: count)],
+                                        workers)
+        assert totals == [trials]
         assert pool_sizes == expected
 
     def test_clamped_pool_keeps_the_record(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(estimators.os, "cpu_count", lambda: 2)
         cfg = config("e", seed=5, trials=3 * estimators.BLOCK_TRIALS)
         assert estimate_e(cfg, workers=10 ** 6) == estimate_e(cfg, workers=1)
+        assert pool_sizes == [2]
+
+    def test_sec_tan_sizes_share_one_pool(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(estimators.os, "cpu_count", lambda: 2)
+        cfg = config("sec_tan", seed=6, trials=estimators.BLOCK_TRIALS + 9)
+        assert estimate_sec_tan(cfg, workers=2) == estimate_sec_tan(cfg, workers=1)
         assert pool_sizes == [2]

@@ -263,9 +263,3 @@ class TestSlimeWalk:
     def test_kill_probability_validation(self):
         with pytest.raises(ValueError):
             SlimeArena(half_width=5, kill_probability=0.0)
-
-    def test_raster_must_fit(self):
-        from blockmonte.geometry import rasterize_circle
-
-        with pytest.raises(ValueError):
-            SlimeArena(half_width=5, raster=rasterize_circle(6))
