@@ -14,6 +14,7 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -28,6 +29,7 @@ from .geometry import (
     traversal_seconds,
 )
 from .mechanics import (
+    HOPPER_MAX_PERIODS,
     Dropper,
     HopperTimer,
     RandomTickScheduler,
@@ -193,7 +195,7 @@ PARAMS: dict[str, dict[str, Param]] = {
     "zeta": {
         "m": Param("int", 3, minimum=2),
         "sampler_mode": Param("choice", "uniform", choices=("uniform", "random_tick")),
-        "value_bound": Param("int", 10 ** 6, minimum=2),
+        "value_bound": Param("int", 10 ** 6, minimum=2, maximum=2 ** 63 - 1),
         "growth_prob": Param("float", 1.0 / 3.0, above=0, maximum=1),
         "speed_multiplier": Param("int", 64, minimum=1),
     },
@@ -236,9 +238,24 @@ def resolve_params(variant: str, raw: dict) -> dict:
                 params["drift"] = [0.3, -0.3]
         elif params["drift"] != [0.0, 0.0]:
             raise ValueError("invalid value for 'drift': only slime_walk_drift accepts a bias")
+    if variant == "sqrt2":
+        _check_hopper_windows(params)
     if variant == "integral" and not params["a"] < params["b"]:
         raise ValueError("invalid value for 'b': bounds must satisfy a < b")
     return params
+
+
+def _check_hopper_windows(params: dict) -> None:
+    """Reject a sqrt2 course whose hypotenuse window, plus the start phase
+    of up to one period, reaches HOPPER_MAX_PERIODS timer periods."""
+    period = params["period"]
+    try:
+        _, hyp_time = traversal_seconds(TriangleCourse(params["leg_blocks"], params["speed"]))
+    except OverflowError:
+        hyp_time = math.inf
+    if (hyp_time + period) / period >= HOPPER_MAX_PERIODS:
+        raise ValueError("invalid value for 'speed': the hypotenuse takes 2**52 or more "
+                         "timer periods at this speed")
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +331,30 @@ def _pi_arena(params: dict) -> SlimeArena | None:
     )
 
 
-def _uniform_points(stream, count: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous points uniform on the circumscribed square of the disc
-    (side 2R, centered on the origin cell's center): hit chance pi/4."""
-    xs = 0.5 + (2.0 * stream.float_block(count) - 1.0) * radius
-    zs = 0.5 + (2.0 * stream.float_block(count) - 1.0) * radius
-    return xs, zs
+def _uniform_points(stream, count: int, radius: int) -> np.ndarray:
+    """(2, count) array of continuous points, x row then z row, uniform on
+    the circumscribed square of the disc (side 2R, centered on the origin
+    cell's center): hit chance pi/4.
+
+    One draw of 2 * count floats: x takes the first half, z the second.
+    """
+    points = stream.float_block(2 * count).reshape(2, count)
+    # 0.5 + (2u - 1) * radius in place, in the same operation order, so
+    # the floats (and the report bytes) are those of the expression
+    points *= 2.0
+    points -= 1.0
+    points *= radius
+    points += 0.5
+    return points
 
 
 def _pi_cells(stream, count: int, radius: int, arena) -> tuple[np.ndarray, np.ndarray]:
     """Cell coordinates of ``count`` sampled points: the cells holding
     uniform points, or slime death cells."""
     if arena is None:
-        xs, zs = _uniform_points(stream, count, radius)
-        return np.floor(xs).astype(np.int64), np.floor(zs).astype(np.int64)
+        points = _uniform_points(stream, count, radius)
+        cells = np.floor(points, out=points).astype(np.int64)
+        return cells[0], cells[1]
     cells = slime_death_cells(arena, stream, count)
     return cells[:, 0], cells[:, 1]
 
@@ -336,8 +363,12 @@ def _pi_inside_mask(stream, count: int, params: dict, raster, arena) -> np.ndarr
     radius = params["radius"]
     if params["raster_mode"] == "exact_disc":
         if arena is None:
-            xs, zs = _uniform_points(stream, count, radius)
-            return (xs - 0.5) ** 2 + (zs - 0.5) ** 2 <= float(radius) ** 2
+            # (x - 0.5)^2 + (z - 0.5)^2 <= R^2, in place
+            points = _uniform_points(stream, count, radius)
+            points -= 0.5
+            np.square(points, out=points)
+            distance2 = np.add(points[0], points[1], out=points[0])
+            return distance2 <= float(radius) ** 2
         cx, cz = _pi_cells(stream, count, radius, arena)
         return cx * cx + cz * cz <= radius * radius
     return raster.contains_cells(*_pi_cells(stream, count, radius, arena))
@@ -423,12 +454,58 @@ def estimate_e(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
 # zeta
 
 
-def _coprime_rows(values: np.ndarray) -> int:
+# Values below this side take their gcd from ``_gcd_table``.
+GCD_TABLE_SIDE = 1024
+
+
+@lru_cache(maxsize=None)
+def _gcd_table() -> np.ndarray:
+    """Read-only int16 table, entry [a, b] = gcd(a, b) for a, b < GCD_TABLE_SIDE.
+
+    Each divisor d writes itself over every pair of its multiples, smallest
+    d first, so each entry ends on the largest common divisor; only
+    gcd(0, 0) = 0 is left to set by hand.
+    """
+    grid = np.zeros((GCD_TABLE_SIDE, GCD_TABLE_SIDE), dtype=np.int16)
+    for d in range(1, GCD_TABLE_SIDE):
+        grid[::d, ::d] = d
+    grid[0, 0] = 0
+    grid.setflags(write=False)
+    return grid
+
+
+def _coprime_rows(values: np.ndarray, table: np.ndarray | None = None) -> int:
     """Number of rows of positive integers whose gcd is 1.
 
-    Chains the binary gcd column by column; one pass per column is cheaper
-    than ``np.gcd.reduce`` along the short row axis.
+    With ``table`` (``_gcd_table()``), rows whose values are all below the
+    table side chain their gcd through it, one lookup per column; the other
+    rows chain the binary gcd column by column, which is cheaper than
+    ``np.gcd.reduce`` along the short row axis.
     """
+    if table is None:
+        return _chained_gcd_coprime(values)
+    if values.max() < GCD_TABLE_SIDE:
+        return _table_coprime(values, table)
+    small = values[:, 0] < GCD_TABLE_SIDE
+    for column in range(1, values.shape[1]):
+        small &= values[:, column] < GCD_TABLE_SIDE
+    if not small.any():
+        return _chained_gcd_coprime(values)
+    return _table_coprime(values[small], table) + _chained_gcd_coprime(values[~small])
+
+
+def _table_coprime(values: np.ndarray, table: np.ndarray) -> int:
+    common = values[:, 0]
+    for column in range(1, values.shape[1]):
+        index = np.multiply(common, GCD_TABLE_SIDE, dtype=np.intp)
+        index += values[:, column]
+        common = table.take(index)
+    return int(np.count_nonzero(common == 1))
+
+
+def _chained_gcd_coprime(values: np.ndarray) -> int:
+    if values.max() < 2 ** 31:
+        values = values.astype(np.int32)  # the int32 gcd is faster
     common = values[:, 0]
     for column in range(1, values.shape[1]):
         common = np.gcd(common, values[:, column])
@@ -457,17 +534,21 @@ def estimate_zeta(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     params = resolve_params("zeta", config.variant_params)
     m = params["m"]
     uniform = params["sampler_mode"] == "uniform"
+    # Random ticks draw geometric values, almost all below the table side.
+    # The table is built here, before any worker thread reads it.
+    table = _gcd_table() if not uniform or params["value_bound"] < GCD_TABLE_SIDE else None
     if uniform:
         bound = params["value_bound"]
 
         def block(stream, count):
-            return _coprime_rows(stream.int_below_block(bound, (count, m)) + 1)
+            return _coprime_rows(stream.int_below_block(bound, (count, m)) + 1, table)
     else:
         sched = RandomTickScheduler(speed_multiplier=params["speed_multiplier"])
         growth = params["growth_prob"]
 
         def block(stream, count):
-            return _coprime_rows(ticks_until_growth_block(sched, growth, stream, (count, m)))
+            return _coprime_rows(ticks_until_growth_block(sched, growth, stream, (count, m)),
+                                 table)
 
     [coprime] = _map_blocks(config.master_seed, [("zeta", config.trials, block)], workers)
     if coprime == 0:

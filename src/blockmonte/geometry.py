@@ -60,22 +60,27 @@ class CircleRaster:
 
     @cached_property
     def mask(self) -> np.ndarray:
-        """Boolean lookup grid indexed by [x + radius, z + radius]."""
-        side = 2 * self.radius + 1
-        grid = np.zeros((side, side), dtype=bool)
+        """Boolean lookup grid indexed by [x + radius + 1, z + radius + 1].
+
+        Its outermost ring lies one cell outside the square and is all
+        False, so coordinates clipped onto it read as outside.
+        """
+        edge = self.radius + 1
+        grid = np.zeros((2 * edge + 1, 2 * edge + 1), dtype=bool)
         for cell in self.inside_cells:
-            grid[cell.x + self.radius, cell.z + self.radius] = True
+            grid[cell.x + edge, cell.z + edge] = True
         grid.setflags(write=False)
         return grid
 
     def contains_cells(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Vectorised membership for integer cell coordinate arrays."""
-        r = self.radius
-        inside_square = (np.abs(xs) <= r) & (np.abs(zs) <= r)
-        out = np.zeros(xs.shape, dtype=bool)
-        ix, iz = xs[inside_square] + r, zs[inside_square] + r
-        out[inside_square] = self.mask[ix, iz]
-        return out
+        edge = self.radius + 1
+        index = np.clip(xs, -edge, edge)
+        index += edge
+        index *= 2 * edge + 1
+        index += np.clip(zs, -edge, edge)
+        index += edge
+        return self.mask.take(index)
 
     def outline_cells(self) -> frozenset[GridCell]:
         """Raster cells with at least one 4-neighbour outside (the ring)."""

@@ -25,6 +25,9 @@ from .rng import RngStream, geometric_trials
 
 # Hoppers move 2.5 items per second.
 HOPPER_PERIOD_SECONDS = 0.4
+# From 2**52 periods on, (n + 1) * period can round to n * period in float,
+# so item counts are exact only below it.
+HOPPER_MAX_PERIODS = 2 ** 52
 # A dropper holds at most 9 distinct items.
 DROPPER_MAX_SLOTS = 9
 
@@ -43,11 +46,14 @@ def hopper_item_count(timer: HopperTimer, duration: float) -> int:
 
     Returns the unique n with n*period <= duration < (n+1)*period.  The
     correction loops pin that half-open contract down in float arithmetic,
-    where duration/period alone can land one ulp on the wrong side.
+    where duration/period alone can land one ulp on the wrong side.  They
+    only converge below HOPPER_MAX_PERIODS periods; longer durations raise.
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
     period = timer.period_seconds
+    if duration / period >= HOPPER_MAX_PERIODS:
+        raise ValueError("duration must be shorter than 2**52 timer periods")
     n = max(0, int(duration // period))
     while (n + 1) * period <= duration:
         n += 1

@@ -99,9 +99,16 @@ class RngStream:
         _check_probability(p)
         if p == 1.0:
             return np.ones(shape, dtype=np.int64)
+        # max(1 + floor(log1p(-u) / log1p(-p)), 1): the same ufuncs in the
+        # same order, in place, so only two arrays are allocated
         u = self._generator.random(shape)
-        draws = 1 + np.floor(np.log1p(-u) / math.log1p(-p)).astype(np.int64)
-        return np.maximum(draws, 1)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u /= math.log1p(-p)
+        np.floor(u, out=u)
+        draws = u.astype(np.int64)
+        draws += 1
+        return np.maximum(draws, 1, out=draws)
 
 
 def derive_stream(seed: MasterSeed, stream_id: StreamId) -> RngStream:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from blockmonte import estimators
@@ -81,6 +82,9 @@ class TestConfigValidation:
         ("pi", {"sampler_mode": "slime_walk_drift", "drift": "nan,0"}, "drift"),
         ("pi", {"step_cells": "inf"}, "step_cells"),
         ("sqrt2", {"period": "inf"}, "period"),
+        ("sqrt2", {"speed": 1e-300}, "speed"),
+        ("sqrt2", {"leg_blocks": 10 ** 400}, "speed"),
+        ("zeta", {"value_bound": 2 ** 70}, "value_bound"),
         ("pi", {"counts": [508.9, 619.2]}, "counts"),
         ("e", {"counts": "647,238", "m": "5"}, "m"),
         ("pi", {"counts": "508,619", "reported_decimals": "-1"}, "reported_decimals"),
@@ -265,6 +269,72 @@ class TestZeta:
         for bad in (1, 3.5, True):
             with pytest.raises(ValueError, match="'m'"):
                 estimate_zeta(config("zeta", m=bad))
+
+    def test_largest_value_bound_draws_int64_values(self):
+        record = estimate_zeta(config("zeta", seed=5, trials=20_000, value_bound=2 ** 63 - 1))
+        assert abs(record.estimate - ZETA3) < 4 * record.stderr
+
+
+def chained_int64_gcd_coprime(values):
+    """Reference: the plain int64 gcd chain over the columns."""
+    common = values[:, 0]
+    for column in range(1, values.shape[1]):
+        common = np.gcd(common, values[:, column])
+    return int(np.count_nonzero(common == 1))
+
+
+def gcd_block(kind, m):
+    """Random rows plus edge rows of one size class.
+
+    The rows led by 2**32 + 3 and 2**32 + 3093 are coprime, but cut to 32
+    bits they read as (3, 3, ...) and (3093, 3093, ...).
+    """
+    rng = np.random.default_rng(m)
+    small = np.vstack([rng.integers(1, 1024, (3000, m)),
+                       np.ones((5, m), dtype=np.int64),
+                       np.full((5, m), 1023),
+                       np.resize([1023, 341], (5, m)),
+                       np.resize([1023, 1022], (5, m))])
+    large = np.vstack([rng.integers(1024, 2 ** 40, (3000, m)),
+                       np.full((5, m), 1024),
+                       np.resize([2 ** 32 + 3093, 3093], (5, m)),
+                       np.resize([2 ** 31 + 2048, 2 ** 31, 1024], (5, m))])
+    mixed = np.vstack([small, large,
+                       np.resize([2 ** 32 + 3, 3], (5, m)),
+                       np.resize([1024, 2], (5, m)),
+                       np.resize([1, 2 ** 40], (5, m))])
+    block = {"small": small, "large": large, "mixed": mixed}[kind].astype(np.int64)
+    return rng.permutation(block)
+
+
+class TestGcdKernels:
+    def test_table_is_the_gcd_outer_product(self):
+        side = np.arange(1024)
+        assert np.array_equal(estimators._gcd_table(), np.gcd.outer(side, side))
+
+    @pytest.mark.parametrize("kind", ["small", "large", "mixed"])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_coprime_rows_match_the_int64_chain(self, m, kind):
+        values = gcd_block(kind, m)
+        expected = chained_int64_gcd_coprime(values)
+        assert estimators._coprime_rows(values, estimators._gcd_table()) == expected
+        assert estimators._coprime_rows(values) == expected
+
+    def test_uniform_points_are_the_two_former_draws(self):
+        count, radius = 5000, 12
+        old = derive_stream(7, StreamId("pi", 0))
+        xs = 0.5 + (2.0 * old.float_block(count) - 1.0) * radius
+        zs = 0.5 + (2.0 * old.float_block(count) - 1.0) * radius
+        points = estimators._uniform_points(derive_stream(7, StreamId("pi", 0)), count, radius)
+        assert np.array_equal(points[0], xs) and np.array_equal(points[1], zs)
+
+        inside = estimators._pi_inside_mask(derive_stream(7, StreamId("pi", 0)), count,
+                                            {"radius": radius, "raster_mode": "exact_disc"},
+                                            None, None)
+        assert np.array_equal(inside, (xs - 0.5) ** 2 + (zs - 0.5) ** 2 <= float(radius) ** 2)
+        cx, cz = estimators._pi_cells(derive_stream(7, StreamId("pi", 0)), count, radius, None)
+        assert np.array_equal(cx, np.floor(xs).astype(np.int64))
+        assert np.array_equal(cz, np.floor(zs).astype(np.int64))
 
 
 class TestSecTan:

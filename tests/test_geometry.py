@@ -81,6 +81,19 @@ class TestCircleRaster:
         zs = np.array([0, 0, 0, 0, 4])
         assert raster.contains_cells(xs, zs).tolist() == [True, True, False, True, True]
 
+    @pytest.mark.parametrize("radius", [1, 5, 12])
+    def test_vectorised_membership_matches_the_square_test(self, radius):
+        import numpy as np
+
+        raster = rasterize_circle(radius)
+        edges = [radius, radius + 1, radius + 2, 10 ** 12, 2 ** 62]
+        line = np.array(sorted({*range(-radius, radius + 1), *edges, *(-v for v in edges)}))
+        xs, zs = (axis.ravel() for axis in np.meshgrid(line, line))
+        in_square = (np.abs(xs) <= radius) & (np.abs(zs) <= radius)
+        expected = [bool(square) and (x, z) in raster
+                    for x, z, square in zip(xs.tolist(), zs.tolist(), in_square)]
+        assert raster.contains_cells(xs, zs).tolist() == expected
+
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             rasterize_circle(0)

@@ -1,4 +1,5 @@
 import math
+import threading
 from itertools import permutations
 
 import numpy as np
@@ -50,6 +51,26 @@ class TestHopper:
     def test_invalid_period_rejected(self):
         with pytest.raises(ValueError):
             HopperTimer(period_seconds=0.0)
+
+    def test_durations_past_float_precision_are_rejected_at_once(self):
+        # At 2**52 periods and beyond, n + 1 == n in float, so the count
+        # loop would never end; it must raise instead.  The call runs on a
+        # daemon thread so a regression fails here instead of hanging.
+        outcome = []
+
+        def call(duration):
+            try:
+                hopper_item_count(HopperTimer(), duration)
+            except ValueError as exc:
+                outcome.append(exc)
+
+        for duration in (0.4 * 2.0 ** 52, 1e302, math.inf):
+            worker = threading.Thread(target=call, args=(duration,), daemon=True)
+            worker.start()
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+        assert len(outcome) == 3
+        assert hopper_item_count(HopperTimer(period_seconds=1.0), 2.0 ** 52 - 1) == 2 ** 52 - 1
 
     @pytest.mark.parametrize("period", [0.4, 0.25, 0.05, 1.7])
     def test_half_open_interval_contract(self, period):

@@ -115,6 +115,14 @@ class TestGeometricTrials:
         with pytest.raises(ValueError):
             geometric_trials(stream(), bad)
 
+    @pytest.mark.parametrize("p", [0.5, 0.2, 0.0153, 1e-6])
+    def test_block_matches_the_inversion_formula(self, p):
+        u = stream(seed=5, label=f"geo-inv-{p}").float_block(12_000).reshape(4000, 3)
+        expected = np.maximum(1 + np.floor(np.log1p(-u) / math.log1p(-p)).astype(np.int64), 1)
+        block = stream(seed=5, label=f"geo-inv-{p}").geometric_block(p, (4000, 3))
+        assert block.dtype == np.int64
+        assert np.array_equal(block, expected)
+
     def test_scalar_and_block_agree_in_distribution(self):
         scalar = stream(seed=3, label="geo-sb")
         values = [geometric_trials(scalar, 0.2) for _ in range(20000)]
