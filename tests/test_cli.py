@@ -198,13 +198,13 @@ class TestCommandLine:
     @pytest.mark.parametrize("argv, field", [
         (["pi", "--param", "sampler_mode=slime_walk_drift", "--param", "drift=nan,0"], "drift"),
         (["sqrt2", "--param", "period=inf"], "period"),
-        (["sqrt2", "--param", "speed=1e-300"], "speed"),
-        (["zeta", "--param", "value_bound=1180591620717411303424"], "value_bound"),
         (["e", "--from-counts", "647,238", "--param", "m=5"], "m"),
         (["pi", "--from-counts", "508,619", "--param", "reported_decimals=-1"],
          "reported_decimals"),
         (["pi", "--from-counts", "508,619", "--param", "reported_decimals=x"],
          "reported_decimals"),
+        (["sqrt2", "--param", "speed=1e-300"], "speed"),
+        (["zeta", "--param", "value_bound=1180591620717411303424"], "value_bound"),
     ])
     def test_bad_param_exits_two_and_names_field(self, capsys, argv, field):
         assert cli.main(["estimate", *argv, "--trials", "100"]) == 2

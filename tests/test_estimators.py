@@ -82,13 +82,13 @@ class TestConfigValidation:
         ("pi", {"sampler_mode": "slime_walk_drift", "drift": "nan,0"}, "drift"),
         ("pi", {"step_cells": "inf"}, "step_cells"),
         ("sqrt2", {"period": "inf"}, "period"),
-        ("sqrt2", {"speed": 1e-300}, "speed"),
-        ("sqrt2", {"leg_blocks": 10 ** 400}, "speed"),
-        ("zeta", {"value_bound": 2 ** 70}, "value_bound"),
         ("pi", {"counts": [508.9, 619.2]}, "counts"),
         ("e", {"counts": "647,238", "m": "5"}, "m"),
         ("pi", {"counts": "508,619", "reported_decimals": "-1"}, "reported_decimals"),
         ("pi", {"counts": "508,619", "reported_decimals": "three"}, "reported_decimals"),
+        ("sqrt2", {"speed": 1e-300}, "speed"),
+        ("sqrt2", {"leg_blocks": 10 ** 400}, "speed"),
+        ("zeta", {"value_bound": 2 ** 70}, "value_bound"),
     ])
     def test_bad_value_names_its_field(self, variant, params, field):
         with pytest.raises(ValueError, match=f"'{field}'"):
