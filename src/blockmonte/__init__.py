@@ -35,6 +35,7 @@ from .geometry import (
     TriangleCourse,
     archimedes_bounds,
     cell_in_disc,
+    gauss_kronrod,
     is_sum_of_two_squares,
     raster_to_text,
     rasterize_circle,
@@ -56,6 +57,7 @@ from .numtheory import (
     euler_product_partial,
     gcd_tuple,
     zeta_partial,
+    zeta_value,
 )
 from .rng import RngStream, StreamId, derive_stream, geometric_trials
 from .runner import RunManifest, emit_scatter, load_manifest, run_experiment

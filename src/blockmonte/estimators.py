@@ -24,6 +24,7 @@ from .errors import DegenerateCourseError, DegenerateRegionError, DegenerateSamp
 from .geometry import (
     GridCell,
     TriangleCourse,
+    gauss_kronrod,
     rasterize_circle,
     rasterize_curve,
     traversal_seconds,
@@ -39,7 +40,7 @@ from .mechanics import (
     slime_death_cells,
     ticks_until_growth_block,
 )
-from .numtheory import ZETA_EVEN_PI_COEFFICIENT
+from .numtheory import ZETA_EVEN_PI_COEFFICIENT, zeta_value
 from .rng import StreamId, derive_stream
 from .stats import CONSTANTS, ratio_stderr, relative_error, wilson_ci
 
@@ -193,7 +194,10 @@ PARAMS: dict[str, dict[str, Param]] = {
         "permutation_size": Param("int", 9, minimum=2, maximum=9),
     },
     "zeta": {
-        "m": Param("int", 3, minimum=2),
+        # Each block draws a (65,536 x m) int64 array plus a +1 copy, about
+        # 1 MB per unit of m and worker; and from m = 54 on zeta(m) is 1.0 in
+        # double precision, so a larger m adds memory and nothing to measure.
+        "m": Param("int", 3, minimum=2, maximum=64),
         "sampler_mode": Param("choice", "uniform", choices=("uniform", "random_tick")),
         "value_bound": Param("int", 10 ** 6, minimum=2, maximum=2 ** 63 - 1),
         "growth_prob": Param("float", 1.0 / 3.0, above=0, maximum=1),
@@ -377,8 +381,10 @@ def _pi_inside_mask(stream, count: int, params: dict, raster, arena) -> np.ndarr
 def estimate_pi(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Monte Carlo disc experiment: estimate = 4 * inside / total."""
     params = resolve_params("pi", config.variant_params)
-    raster = rasterize_circle(params["radius"])
-    raster.mask  # build the lookup once, before any worker threads share it
+    raster = None
+    if params["raster_mode"] == "raster":
+        raster = rasterize_circle(params["radius"])
+        raster.mask  # build the lookup once, before any worker threads share it
     arena = _pi_arena(params)
 
     def block(stream, count):
@@ -517,9 +523,7 @@ def reference_zeta(m: int) -> float:
         return CONSTANTS.pi ** 2 / 6.0
     if m == 3:
         return CONSTANTS.zeta3
-    from scipy.special import zeta as _zeta
-
-    return float(_zeta(float(m)))
+    return zeta_value(m)
 
 
 def estimate_zeta(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
@@ -665,7 +669,8 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
     (above-axis hits - below-axis hits) * box_area / trials.  In rasterized
     mode the curve is the block-column step function and the reference is
     the exact signed sum of column areas; in continuous mode the reference
-    comes from adaptive quadrature.
+    comes from adaptive Gauss-Kronrod quadrature, and the params echo its
+    error estimate and whether it converged within its interval budget.
     """
     params = resolve_params("integral", config.variant_params)
     f = parse_function(params["function_spec"])
@@ -685,9 +690,9 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
         y_high = max(y_high, float(heights.max()))
         reference = float(curve.signed_column_area())
     else:
-        from scipy.integrate import quad
-
-        reference = float(quad(f, a, b, limit=200)[0])
+        reference, abserr, converged = gauss_kronrod(f, a, b)
+        params["reference_abserr"] = abserr
+        params["reference_converged"] = converged
 
     if y_high == y_low:
         # Only an identically-zero curve produces a flat box (the box always

@@ -9,7 +9,9 @@ prime product respectively, giving two independent checks on one value.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -59,6 +61,54 @@ def zeta_partial(s: int, terms: int) -> float:
     if terms < 1:
         raise ValueError("terms must be >= 1")
     return math.fsum(n ** -s for n in range(1, terms + 1))
+
+
+# zeta(m) - 1 < 2**-53, half a unit in the last place of 1.0, from here on.
+ZETA_ROUNDS_TO_ONE = 54
+_ZETA_DIRECT_TERMS = 10
+_ZETA_CORRECTIONS = 20
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_even(count: int) -> tuple[Fraction, ...]:
+    """B_2, B_4, ..., B_(2 count), exactly (Akiyama-Tanigawa)."""
+    row, numbers = [], []
+    for n in range(2 * count + 1):
+        row.append(Fraction(1, n + 1))
+        for j in range(n, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        if n >= 2 and n % 2 == 0:
+            numbers.append(row[0])
+    return tuple(numbers)
+
+
+def zeta_value(m: int) -> float:
+    """zeta(m) for an integer m >= 2, correctly rounded to a double.
+
+    Euler-Maclaurin in 40-digit decimals, with N = 10: the terms n < N
+    summed, the tail from N as its integral, half its first term and 20
+    Bernoulli corrections.  For every m < 54 the first omitted correction is
+    below 1e-24, so the one rounding of the decimal sum to a double is the
+    correct one.  From m = 54 on that double is 1.0.
+    """
+    if isinstance(m, bool) or not isinstance(m, int) or m < 2:
+        raise ValueError("m must be an integer >= 2")
+    if m >= ZETA_ROUNDS_TO_ONE:
+        return 1.0
+    with localcontext() as ctx:
+        ctx.prec = 40
+        n = Decimal(_ZETA_DIRECT_TERMS)
+        total = sum(Decimal(k) ** -m for k in range(1, _ZETA_DIRECT_TERMS))
+        total += n ** (1 - m) / (m - 1) + n ** -m / 2
+        # B_2k / (2k)! * m (m+1) ... (m+2k-2) * N^(1-m-2k)
+        rising, factorial = m, 2
+        for k, bernoulli in enumerate(_bernoulli_even(_ZETA_CORRECTIONS), start=1):
+            coefficient = bernoulli * rising / factorial
+            total += (Decimal(coefficient.numerator) / coefficient.denominator
+                      * n ** (1 - m - 2 * k))
+            rising *= (m + 2 * k - 1) * (m + 2 * k)
+            factorial *= (2 * k + 1) * (2 * k + 2)
+        return float(total)
 
 
 def euler_product_partial(s: int, prime_bound: int) -> float:

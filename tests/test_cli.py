@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import blockmonte
 from blockmonte import cli
 from blockmonte.estimators import ExperimentConfig, run_config
 from blockmonte.geometry import GridCell, rasterize_circle
@@ -205,6 +210,7 @@ class TestCommandLine:
          "reported_decimals"),
         (["sqrt2", "--param", "speed=1e-300"], "speed"),
         (["zeta", "--param", "value_bound=1180591620717411303424"], "value_bound"),
+        (["zeta", "--param", "m=65"], "m"),
     ])
     def test_bad_param_exits_two_and_names_field(self, capsys, argv, field):
         assert cli.main(["estimate", *argv, "--trials", "100"]) == 2
@@ -280,3 +286,31 @@ class TestCommandLine:
 def test_report_row_round_trip_without_files():
     record = run_config(ExperimentConfig(variant="e", master_seed=2, trials=5000))
     assert record_from_row(json.loads(json.dumps(report_row("x", record)))) == record
+
+
+# Runs each CLI call in one fresh interpreter, then lists every scipy module
+# that any of them imported.
+NO_SCIPY_SCRIPT = """
+import sys
+from blockmonte import cli
+for argv in sys.argv[1:]:
+    assert cli.main(argv.split()) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_commands_import_no_scipy(tmp_path):
+    calls = [
+        "estimate integral --trials 2000",
+        "estimate zeta --trials 2000 --param m=4",
+        "estimate zeta --trials 2000 --param m=5",
+        f"estimate pi --trials 2000 --param raster_mode=raster --out {tmp_path} "
+        "--format txt,svg",
+    ]
+    src = str(Path(blockmonte.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    result = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, *calls], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

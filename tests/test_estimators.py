@@ -89,6 +89,7 @@ class TestConfigValidation:
         ("sqrt2", {"speed": 1e-300}, "speed"),
         ("sqrt2", {"leg_blocks": 10 ** 400}, "speed"),
         ("zeta", {"value_bound": 2 ** 70}, "value_bound"),
+        ("zeta", {"m": 65}, "m"),
     ])
     def test_bad_value_names_its_field(self, variant, params, field):
         with pytest.raises(ValueError, match=f"'{field}'"):
@@ -206,6 +207,18 @@ class TestPi:
         combined = math.hypot(plain.stderr, drifted.stderr)
         assert plain.estimate - drifted.estimate > 3 * combined
 
+    @pytest.mark.parametrize("sampler_mode", ["uniform_ideal", "slime_walk"])
+    def test_exact_disc_builds_no_raster(self, monkeypatch, sampler_mode):
+        def refuse(radius):
+            raise AssertionError("exact_disc must not rasterize the circle")
+
+        monkeypatch.setattr(estimators, "rasterize_circle", refuse)
+        record = estimate_pi(config("pi", seed=7, trials=2_000, radius=12,
+                                    sampler_mode=sampler_mode, raster_mode="exact_disc"))
+        assert 0 < record.success_count <= 2_000
+        with pytest.raises(AssertionError, match="rasterize"):
+            estimate_pi(config("pi", trials=10, radius=12, raster_mode="raster"))
+
     def test_outcome_collection(self):
         cells = collect_pi_outcomes(config("pi", trials=500, radius=11), limit=1000)
         assert len(cells) == 500
@@ -264,6 +277,16 @@ class TestZeta:
                                       sampler_mode="random_tick"))
         assert record.params["value_distribution"] == "negative_binomial_non_uniform"
         assert record.estimate > 1.0
+
+    def test_largest_m_runs(self):
+        record = estimate_zeta(config("zeta", seed=6, trials=1_000, m=64))
+        assert record.estimate == 1.0
+        assert record.reference == 1.0
+
+    def test_counts_replay_keeps_an_unbounded_m(self):
+        record = run_config(config("zeta", trials=1, counts="70,58", m=str(10 ** 9)))
+        assert record.reference == 1.0
+        assert record.params["m"] == 10 ** 9
 
     def test_m_validation(self):
         for bad in (1, 3.5, True):
@@ -368,6 +391,21 @@ class TestIntegral:
         record = estimate_integral(config("integral", seed=2, trials=1_000_000))
         assert record.reference == pytest.approx(SHOWCASE_INTEGRAL, abs=1e-9)
         assert abs(record.estimate - SHOWCASE_INTEGRAL) < 4 * record.stderr
+
+    def test_continuous_record_echoes_its_quadrature(self):
+        record = estimate_integral(config("integral", trials=1_000))
+        assert record.params["reference_converged"] is True
+        abserr = record.params["reference_abserr"]
+        assert 0 < abserr < 1e-11
+        assert abs(record.reference - SHOWCASE_INTEGRAL) <= abserr
+
+    def test_unconverged_reference_is_flagged(self):
+        record = estimate_integral(config("integral", trials=1_000,
+                                          function_spec="abs(sin(300*x))"))
+        assert record.params["reference_converged"] is False
+        # 763 whole arches of area 2/300, then the start of the next one
+        exact = (2 * 763 + 1 - math.cos(2400 - 763 * math.pi)) / 300
+        assert abs(record.reference - exact) <= record.params["reference_abserr"]
 
     def test_showcase_rasterized_against_column_sum(self):
         from blockmonte.geometry import rasterize_curve

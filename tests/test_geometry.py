@@ -2,14 +2,17 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from blockmonte.estimators import parse_function
 from blockmonte.geometry import (
     CircleRaster,
     GridCell,
     TriangleCourse,
     archimedes_bounds,
     cell_in_disc,
+    gauss_kronrod,
     is_sum_of_two_squares,
     raster_to_text,
     rasterize_circle,
@@ -171,6 +174,87 @@ class TestCurveRaster:
     def test_signed_area_is_height_sum(self):
         raster = rasterize_curve(lambda x: x - 2, 0, 5)
         assert raster.signed_column_area() == sum(raster.heights)
+
+
+# (spec, a, b, exact integral)
+CLOSED_FORMS = [
+    # -x^2 cos x + 2x sin x + 2 cos x + (3/4) x^(4/3) over [0, 8]
+    ("x**2*sin(x) + cbrt(x)", 0, 8, -62 * math.cos(8) + 16 * math.sin(8) + 10),
+    ("cbrt(x)", 0, 8, 12.0),
+    # e^(-x/3) (2 sin 2x - cos(2x) / 3) / (4 + 1/9) over [0, 9]
+    ("exp(-x/3)*cos(2*x)", 0, 9,
+     (math.exp(-3) * (2 * math.sin(18) - math.cos(18) / 3) + 1 / 3) / (4 + 1 / 9)),
+    ("abs(x-3.3)", 0, 8, 3.3 ** 2 / 2 + 4.7 ** 2 / 2),
+    ("2", 0, 8, 16.0),
+    ("x**5 - 3*x", -2, 2, 0.0),
+]
+
+# The integrands the benchmark's quad oracle checks, plus a kink and jumps.
+QUAD_SPECS = [
+    ("x**2*sin(x) + cbrt(x)", 0, 8),
+    ("exp(-x/3)*cos(2*x)", 0, 9),
+    ("sqrt(x)*(1 + sin(x))", 0, 7),
+    ("3*sin(x)", -2, 5),
+    ("abs(x-3.3)", 0, 8),
+    ("floor(x)", -2, 5),
+    ("floor(3*x)*sin(x)", 0, 8),
+]
+
+
+class TestGaussKronrod:
+    def test_gauss_nodes_and_weights_are_legendre_ten_point(self):
+        from blockmonte.geometry import _GK_GAUSS, _GK_NODES
+
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        used = _GK_GAUSS > 0
+        assert np.allclose(_GK_NODES[used], nodes, rtol=0, atol=1e-15)
+        assert np.allclose(_GK_GAUSS[used], weights, rtol=0, atol=1e-15)
+
+    def test_kronrod_rule_is_exact_to_degree_31(self):
+        from blockmonte.geometry import _GK_KRONROD, _GK_NODES
+
+        for degree in range(32):
+            exact = (1 - (-1) ** (degree + 1)) / (degree + 1)
+            assert (_GK_NODES ** degree) @ _GK_KRONROD == pytest.approx(exact, abs=1e-14)
+
+    @pytest.mark.parametrize("spec, a, b, exact", CLOSED_FORMS)
+    def test_closed_forms(self, spec, a, b, exact):
+        value, abserr, converged = gauss_kronrod(parse_function(spec), a, b)
+        assert converged
+        assert abs(value - exact) <= abserr
+        assert abs(value - exact) <= 1e-13 * max(abs(exact), 1.0)
+
+    @pytest.mark.parametrize("spec, a, b", QUAD_SPECS)
+    def test_agrees_with_quadpack_under_the_benchmark_oracle_rule(self, spec, a, b):
+        from scipy.integrate import quad
+
+        f = parse_function(spec)
+        expected, expected_err = quad(f, a, b, limit=200)
+        value, _, converged = gauss_kronrod(f, a, b)
+        assert converged
+        assert abs(value - expected) <= expected_err + 1e-12 * abs(expected)
+
+    def test_zero_integrals_stop_at_the_rounding_floor(self):
+        assert gauss_kronrod(lambda x: 0 * x, 0, 8) == (0.0, 0.0, True)
+        # A kink off the bisection points and an integral of 0: no relative
+        # tolerance can be met, so the absolute floor from the integral of
+        # |f| must end the passes (about 20; some 40 without it).
+        kinked = parse_function("abs(x-1) - 5/6")
+        passes = []
+
+        def counted(x):
+            passes.append(len(x))
+            return kinked(x)
+
+        value, abserr, converged = gauss_kronrod(counted, 0, 3)
+        assert converged
+        assert abs(value) <= abserr < 1e-13
+        assert len(passes) < 30
+
+    def test_non_finite_node_value_names_the_spec(self):
+        with pytest.raises(ValueError, match="'function_spec'.*x = 0.5"):
+            with np.errstate(divide="ignore"):
+                gauss_kronrod(parse_function("1/(x-0.5)"), 0, 8)
 
 
 class TestTriangleCourse:

@@ -10,6 +10,7 @@ from blockmonte.numtheory import (
     gcd_tuple,
     sieve_primes,
     zeta_partial,
+    zeta_value,
 )
 
 
@@ -147,3 +148,20 @@ def test_even_zeta_coefficients_match_partial_sums():
     for m, coefficient in ZETA_EVEN_PI_COEFFICIENT.items():
         assert zeta_partial(m, 10 ** 6) == pytest.approx(
             float(coefficient) * math.pi ** m, abs=2e-6 if m == 2 else 1e-10)
+
+
+class TestZetaValue:
+    def test_equals_scipy_bit_for_bit(self):
+        from scipy.special import zeta
+
+        from blockmonte.estimators import reference_zeta
+
+        for m in [*range(2, 61), 100, 10 ** 9]:
+            expected = float(zeta(float(m)))
+            assert zeta_value(m) == expected, m
+            assert reference_zeta(m) == expected, m
+
+    @pytest.mark.parametrize("bad", [1, 0, -3, 2.5, True])
+    def test_invalid_m(self, bad):
+        with pytest.raises(ValueError):
+            zeta_value(bad)
