@@ -187,7 +187,10 @@ PARAMS: dict[str, dict[str, Param]] = {
         "raster_mode": Param("choice", "exact_disc", choices=("raster", "exact_disc")),
         "step_cells": Param("float", 0.8, above=0),
         "turn_probability": Param("float", 0.2, minimum=0, maximum=1),
-        "kill_probability": Param("float", 0.05, above=0, maximum=1),
+        # A walk makes about 1/kill_probability moves, so its time grows
+        # without bound as the probability nears 0: at 1e-3 a 65,536-walker
+        # block takes seconds, at 1e-9 a run would take days.
+        "kill_probability": Param("float", 0.05, minimum=1e-3, maximum=1),
         "drift": Param("pair", (0.0, 0.0)),  # slime_walk_drift: (0.3, -0.3)
     },
     "e": {
@@ -419,7 +422,9 @@ def collect_pi_outcomes(config: ExperimentConfig, limit: int = 10_000) -> list[G
     params = resolve_params("pi", config.variant_params)
     stream = derive_stream(config.master_seed, StreamId("pi/scatter", 0))
     cx, cz = _pi_cells(stream, min(config.trials, limit), params["radius"], _pi_arena(params))
-    return [GridCell(x, z) for x, z in zip(cx.tolist(), cz.tolist())]
+    # repeats share one GridCell: the dots fall on at most (2r+1)^2 cells
+    shared = lru_cache(maxsize=None)(GridCell)
+    return list(map(shared, cx.tolist(), cz.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,12 @@ class CircleRaster:
 
     def outline_cells(self) -> frozenset[GridCell]:
         """Raster cells with at least one 4-neighbour outside (the ring)."""
-        ring = set()
-        for cell in self.inside_cells:
-            for dx, dz in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                if GridCell(cell.x + dx, cell.z + dz) not in self.inside_cells:
-                    ring.add(cell)
-                    break
-        return frozenset(ring)
+        grid = self.mask
+        square = grid[1:-1, 1:-1]
+        ring = square & ~(grid[:-2, 1:-1] & grid[2:, 1:-1] & grid[1:-1, :-2] & grid[1:-1, 2:])
+        xs, zs = np.nonzero(ring)
+        r = self.radius
+        return frozenset(GridCell(x - r, z - r) for x, z in zip(xs.tolist(), zs.tolist()))
 
 
 def rasterize_circle(radius: int) -> CircleRaster:

@@ -30,6 +30,9 @@ HOPPER_PERIOD_SECONDS = 0.4
 HOPPER_MAX_PERIODS = 2 ** 52
 # A dropper holds at most 9 distinct items.
 DROPPER_MAX_SLOTS = 9
+# The unfolded slime walk draws at most this many segments at a time (2 MB
+# per per-segment array, about 14 MB peak); larger chunks run no faster.
+SLIME_CHUNK_SEGMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -230,42 +233,125 @@ def _position_cell(x: float, z: float, half_width: int) -> GridCell:
 
 
 def slime_death_cells(arena: SlimeArena, stream: RngStream, count: int) -> np.ndarray:
-    """(count, 2) int array of death cells for ``count`` independent walkers.
+    """(count, 2) int array of death cells for ``count`` independent walkers,
+    each drawn from the law of ``slime_death_cell``.
 
-    All walkers advance in lockstep on one stream; results are indexed by
-    walker, not by death order, so the output is reproducible.
+    A walk without drift is unfolded (``_unfolded_walk``); a drifting walk
+    is stepped with its lifetimes drawn first (``_stepped_walk``).  Results
+    are indexed by walker on one stream, so the output is reproducible.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    walk = _stepped_walk if any(arena.drift_bias) else _unfolded_walk
+    cells = np.floor(walk(arena, stream, count)).astype(np.int64)
+    r = arena.half_width
+    return np.clip(cells, -r, r, out=cells).T
+
+
+def _unfolded_walk(arena: SlimeArena, stream: RngStream, count: int) -> np.ndarray:
+    """(2, count) death positions, x row then z row, of walks with no drift.
+
+    Specular reflection in the square is free motion in the plane tiled by
+    its mirror images (billiard unfolding), and a mirror maps a uniform
+    heading to a uniform heading.  So each walker moves freely from its
+    uniform start by ``_free_displacement`` and is folded back into the
+    square once, by a triangle wave of period twice the side.
+    """
     lo, hi = arena.bounds
     span = hi - lo
-    r = arena.half_width
-    pos = lo + stream.float_block(2 * count).reshape(count, 2) * span
-    angles = stream.float_block(count) * math.tau
-    direction = np.column_stack((np.cos(angles), np.sin(angles)))
-    drift = np.asarray(arena.drift_bias, dtype=float)
-    out = np.empty((count, 2), dtype=np.int64)
-    alive = np.arange(count)
-    while alive.size:
-        kill = stream.float_block(alive.size) < arena.kill_probability
-        if kill.any():
-            dead_pos = pos[kill]
-            out[alive[kill]] = np.clip(np.floor(dead_pos).astype(np.int64), -r, r)
-        survivors = ~kill
-        pos, direction, alive = pos[survivors], direction[survivors], alive[survivors]
-        if not alive.size:
-            break
-        turning = stream.float_block(alive.size) < arena.turn_probability
-        if turning.any():
-            new_angles = stream.float_block(int(turning.sum())) * math.tau
-            direction[turning, 0] = np.cos(new_angles)
-            direction[turning, 1] = np.sin(new_angles)
-        pos = pos + arena.step_cells * direction + drift
-        for axis in (0, 1):
-            over = pos[:, axis] >= hi
-            pos[over, axis] = 2 * hi - pos[over, axis]
-            direction[over, axis] *= -1
-            under = pos[:, axis] < lo
-            pos[under, axis] = 2 * lo - pos[under, axis]
-            direction[under, axis] *= -1
+    pos = lo + stream.float_block(2 * count).reshape(2, count) * span
+    pos += _free_displacement(arena, stream, count)
+    # hi - |((pos - lo) mod 2 span) - span|, in place
+    pos -= lo
+    np.mod(pos, 2 * span, out=pos)
+    pos -= span
+    np.abs(pos, out=pos)
+    return np.subtract(hi, pos, out=pos)
+
+
+def _free_displacement(arena: SlimeArena, stream: RngStream, count: int) -> np.ndarray:
+    """(2, count) displacements of ``count`` walks in the open plane.
+
+    Each round a walker dies with chance p; else it turns with chance q and
+    moves.  A round that kills or turns ends a straight segment, which
+    happens with chance e = p + (1 - p) q, and such a round kills with
+    chance p / e.  So a walker runs Geom(p / e) segments, each of
+    Geom(e) - 1 plain moves on a uniform heading, and every segment but the
+    first also holds the move of the turn that starts it.
+
+    Segments are drawn in order, SLIME_CHUNK_SEGMENTS at a time; a walker
+    whose segments straddle two chunks sums its part of each.  That bounds
+    the memory whatever p and q are, even for a single walker.
+    """
+    p = arena.kill_probability
+    ending = min(1.0, p + (1.0 - p) * arena.turn_probability)
+    segments = stream.geometric_block(p / ending, count)
+    ends = np.cumsum(segments)
+    firsts = ends - segments
+    displacement = np.zeros((2, count))
+    total = int(ends[-1]) if count else 0
+    for low in range(0, total, SLIME_CHUNK_SEGMENTS):
+        high = min(low + SLIME_CHUNK_SEGMENTS, total)
+        # walkers with a segment in [low, high), and where each one's
+        # segments start within the chunk (negative: in an earlier chunk)
+        first, last = np.searchsorted(ends, low, "right"), np.searchsorted(firsts, high)
+        starts = firsts[first:last] - low
+        moves = stream.geometric_block(ending, high - low)
+        moves[starts[starts >= 0]] -= 1
+        np.maximum(starts, 0, out=starts)
+        length = moves * arena.step_cells
+        del moves
+        heading = stream.float_block(length.size)
+        heading *= math.tau
+        along = np.cos(heading)
+        along *= length
+        displacement[0, first:last] += np.add.reduceat(along, starts)
+        np.sin(heading, out=along)
+        along *= length
+        displacement[1, first:last] += np.add.reduceat(along, starts)
+    return displacement
+
+
+def _stepped_walk(arena: SlimeArena, stream: RngStream, count: int) -> np.ndarray:
+    """(2, count) death positions, x row then z row, of drifting walks.
+
+    Drift acts in the real frame, so these walks cannot unfold; but the
+    kill check does not look at the position, so each walker's move count,
+    Geom(p) - 1, is drawn first.  With the walkers sorted longest-lived
+    first, the walkers still moving in any round are a prefix, which each
+    round steps in place: no kill draws and no compaction.
+    """
+    lo, hi = arena.bounds
+    span = hi - lo
+    moves = stream.geometric_block(arena.kill_probability, count)
+    moves -= 1
+    order = np.argsort(-moves, kind="stable")
+    # live[t]: walkers that make a move in round t
+    live = count - np.cumsum(np.bincount(moves))[:-1]
+    pos = lo + stream.float_block(2 * count).reshape(2, count) * span
+    heading = stream.float_block(count)
+    heading *= math.tau
+    velocity = arena.step_cells * np.array([np.cos(heading), np.sin(heading)])
+    drift = np.array(arena.drift_bias, dtype=float).reshape(2, 1)
+    q = arena.turn_probability
+    for n in live.tolist():
+        u = stream.float_block(n)
+        turning = np.flatnonzero(u < q)
+        if turning.size:
+            # given u < q, u / q is uniform on [0, 1): the new heading
+            heading = u[turning] / q * math.tau
+            velocity[0, turning] = arena.step_cells * np.cos(heading)
+            velocity[1, turning] = arena.step_cells * np.sin(heading)
+        x, v = pos[:, :n], velocity[:, :n]
+        x += v
+        x += drift
+        # step plus drift stays below the side, so one reflection is enough
+        over = x >= hi
+        np.subtract(2 * hi, x, out=x, where=over)
+        np.negative(v, out=v, where=over)
+        under = x < lo
+        np.subtract(2 * lo, x, out=x, where=under)
+        np.negative(v, out=v, where=under)
+    out = np.empty_like(pos)
+    out[:, order] = pos
     return out

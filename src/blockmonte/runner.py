@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DegenerateResultError
 from .estimators import (
     ExperimentConfig,
@@ -243,7 +245,18 @@ def emit_scatter(outcomes: list[GridCell], raster: CircleRaster, path,
     def sy(world_z: float) -> float:
         return (r + 2 - world_z) * scale
 
-    inside_count = sum(1 for cell in outcomes if cell in raster)
+    # one membership pass, and one <circle> per distinct cell: cells are
+    # keyed by their row-major index in the box the outcomes span
+    xs = np.fromiter((cell.x for cell in outcomes), np.int64, len(outcomes))
+    zs = np.fromiter((cell.z for cell in outcomes), np.int64, len(outcomes))
+    x0, z0 = xs.min(), zs.min()
+    width = zs.max() - z0 + 1
+    keys, slot = np.unique((xs - x0) * width + (zs - z0), return_inverse=True)
+    cells_x, cells_z = np.divmod(keys, width)
+    cells_x += x0
+    cells_z += z0
+    inside = raster.contains_cells(cells_x, cells_z)
+    inside_count = int(inside[slot].sum())
     caption_inside, caption_total = counts if counts is not None else (inside_count, len(outcomes))
     estimate = 4.0 * caption_inside / caption_total
 
@@ -258,10 +271,10 @@ def emit_scatter(outcomes: list[GridCell], raster: CircleRaster, path,
         parts.append(f'<rect x="{sx(cell.x)}" y="{sy(cell.z + 1)}" width="{scale}" '
                      f'height="{scale}" fill="#bbbbbb"/>')
     dot_radius = max(1.0, 0.3 * scale)
-    for cell in outcomes:
-        color = _INSIDE_COLOR if cell in raster else _OUTSIDE_COLOR
-        parts.append(f'<circle cx="{sx(cell.x + 0.5):g}" cy="{sy(cell.z + 0.5):g}" '
-                     f'r="{dot_radius:.2f}" fill="{color}"/>')
+    dots = [f'<circle cx="{sx(x + 0.5):g}" cy="{sy(z + 0.5):g}" r="{dot_radius:.2f}" '
+            f'fill="{_INSIDE_COLOR if hit else _OUTSIDE_COLOR}"/>'
+            for x, z, hit in zip(cells_x.tolist(), cells_z.tolist(), inside.tolist())]
+    parts.extend(dots[i] for i in slot.tolist())
     caption = f"4 · {caption_inside}/{caption_total} = {_caption_value(estimate)}"
     parts.append(f'<text x="{scale}" y="{size + scale}" font-family="monospace" '
                  f'font-size="{max(10, scale)}">{caption}</text>')

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import blockmonte
@@ -140,7 +141,61 @@ class TestReports:
         assert svg.count("<circle") == 500
 
 
+def dot_by_dot_scatter(outcomes, raster, counts=None) -> str:
+    """The scatter SVG rendered one dot at a time, each dot's membership
+    looked up in the raster's cell set."""
+    r = raster.radius
+    scale = max(4, 600 // (2 * r + 3))
+    size = (2 * r + 3) * scale
+
+    def sx(world_x):
+        return (world_x + r + 1) * scale
+
+    def sy(world_z):
+        return (r + 2 - world_z) * scale
+
+    inside = sum(1 for cell in outcomes if cell in raster)
+    caption_inside, caption_total = counts if counts is not None else (inside, len(outcomes))
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size + 2 * scale}" '
+        f'viewBox="0 0 {size} {size + 2 * scale}">',
+        f'<rect x="0" y="0" width="{size}" height="{size + 2 * scale}" fill="white"/>',
+        f'<rect x="{sx(-r)}" y="{sy(r + 1)}" width="{(2 * r + 1) * scale}" '
+        f'height="{(2 * r + 1) * scale}" fill="none" stroke="black" stroke-width="1"/>',
+    ]
+    for cell in sorted(raster.outline_cells()):
+        lines.append(f'<rect x="{sx(cell.x)}" y="{sy(cell.z + 1)}" width="{scale}" '
+                     f'height="{scale}" fill="#bbbbbb"/>')
+    for cell in outcomes:
+        color = "#1f77b4" if cell in raster else "#d62728"
+        lines.append(f'<circle cx="{sx(cell.x + 0.5):g}" cy="{sy(cell.z + 0.5):g}" '
+                     f'r="{max(1.0, 0.3 * scale):.2f}" fill="{color}"/>')
+    value = f"{4.0 * caption_inside / caption_total:.5f}"
+    while value.endswith("0") and len(value.split(".")[1]) > 3:
+        value = value[:-1]
+    lines.append(f'<text x="{scale}" y="{size + scale}" font-family="monospace" '
+                 f'font-size="{max(10, scale)}">4 · {caption_inside}/{caption_total} = {value}</text>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
 class TestScatter:
+    @pytest.mark.parametrize("radius", [5, 20])
+    @pytest.mark.parametrize("counts", [None, (33943, 43270)])
+    def test_bytes_match_a_dot_by_dot_rendering(self, tmp_path, radius, counts):
+        # Repeated cells, cells on the square's edges +-r and its corners,
+        # and a spread of random cells in and around the disc.
+        r = radius
+        edges = [GridCell(r, 0), GridCell(-r, 0), GridCell(0, r), GridCell(0, -r),
+                 GridCell(r, r), GridCell(-r, -r), GridCell(r, -r), GridCell(-r, r)]
+        rng = np.random.default_rng(radius)
+        spread = [GridCell(int(x), int(z)) for x, z in rng.integers(-r, r + 1, size=(400, 2))]
+        outcomes = edges + spread + edges[::-1] + spread[:50] + [GridCell(0, 0)] * 3
+        path = tmp_path / "dots.svg"
+        emit_scatter(outcomes, rasterize_circle(r), path, counts=counts)
+        assert path.read_bytes() == dot_by_dot_scatter(
+            outcomes, rasterize_circle(r), counts).encode("utf-8")
+
     def test_single_dot_caption(self, tmp_path):
         path = tmp_path / "one.svg"
         emit_scatter([GridCell(0, 0)], rasterize_circle(11), path)
@@ -211,6 +266,8 @@ class TestCommandLine:
         (["sqrt2", "--param", "speed=1e-300"], "speed"),
         (["zeta", "--param", "value_bound=1180591620717411303424"], "value_bound"),
         (["zeta", "--param", "m=65"], "m"),
+        (["pi", "--param", "sampler_mode=slime_walk", "--param", "kill_probability=1e-4"],
+         "kill_probability"),
     ])
     def test_bad_param_exits_two_and_names_field(self, capsys, argv, field):
         assert cli.main(["estimate", *argv, "--trials", "100"]) == 2

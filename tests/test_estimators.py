@@ -90,6 +90,7 @@ class TestConfigValidation:
         ("sqrt2", {"leg_blocks": 10 ** 400}, "speed"),
         ("zeta", {"value_bound": 2 ** 70}, "value_bound"),
         ("zeta", {"m": 65}, "m"),
+        ("pi", {"sampler_mode": "slime_walk", "kill_probability": 1e-4}, "kill_probability"),
     ])
     def test_bad_value_names_its_field(self, variant, params, field):
         with pytest.raises(ValueError, match=f"'{field}'"):

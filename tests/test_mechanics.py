@@ -1,14 +1,18 @@
 import math
 import threading
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from blockmonte import mechanics
 from blockmonte.combinatorics import permutation_rank
+from blockmonte.estimators import PARAMS
 from blockmonte.geometry import GridCell
 from blockmonte.mechanics import (
+    SLIME_CHUNK_SEGMENTS,
     Dropper,
     HopperTimer,
     RandomTickScheduler,
@@ -22,6 +26,7 @@ from blockmonte.mechanics import (
     slime_death_cells,
     ticks_until_growth,
     ticks_until_growth_block,
+    _free_displacement,
 )
 from blockmonte.rng import StreamId, derive_stream
 
@@ -219,6 +224,34 @@ def lattice_disc_count(radius: int) -> int:
                if x * x + z * z <= radius * radius)
 
 
+def cell_histogram(cells, radius):
+    """Counts per cell of the (2r+1)^2 square, from an (n, 2) cell array."""
+    side = 2 * radius + 1
+    cells = np.asarray(cells)
+    return np.bincount((cells[:, 0] + radius) * side + cells[:, 1] + radius,
+                       minlength=side * side)
+
+
+def two_sample_chi2(a, b):
+    """Statistic and degrees of freedom for two equal-size histograms;
+    bins empty in both are dropped."""
+    used = (a + b) > 0
+    return (((a - b)[used] ** 2) / (a + b)[used]).sum(), int(used.sum()) - 1
+
+
+def open_plane_displacement(arena, s):
+    """The rounds of ``slime_death_cell`` with the walls taken away: the
+    (x, z) a walker moves before it is killed."""
+    heading = s.next_float() * math.tau
+    x = z = 0.0
+    while s.next_float() >= arena.kill_probability:
+        if s.next_float() < arena.turn_probability:
+            heading = s.next_float() * math.tau
+        x += arena.step_cells * math.cos(heading)
+        z += arena.step_cells * math.sin(heading)
+    return x, z
+
+
 class TestSlimeWalk:
     def test_immediate_kill_returns_start_cell_uniformly(self):
         arena = SlimeArena(half_width=5, kill_probability=1.0)
@@ -280,6 +313,81 @@ class TestSlimeWalk:
         drift_proj = drifted[:, 0] - drifted[:, 1]
         combined_se = math.sqrt(plain_proj.var() / n + drift_proj.var() / n)
         assert drift_proj.mean() - plain_proj.mean() > 3 * combined_se
+
+    # r = 3, 49 cells.  kill_probability 0.1 makes walks of about 10 moves,
+    # longer than the 7-cell side, so drift and turning shape the law.
+    @pytest.mark.parametrize("case", [
+        {"turn_probability": 0.0},
+        {"turn_probability": 1.0},
+        {"kill_probability": 1.0},
+        {"drift_bias": (0.3, -0.3)},
+        {"drift_bias": (0.3, -0.3), "turn_probability": 0.0},
+        {"drift_bias": (0.3, -0.3), "turn_probability": 1.0},
+        {"step_cells": 6.5},
+        {"step_cells": 6.5, "drift_bias": (0.3, -0.3)},
+    ], ids=["turn0", "turn1", "kill1", "drift", "drift-turn0", "drift-turn1",
+            "long-step", "long-step-drift"])
+    def test_kernel_and_scalar_walk_share_one_law(self, case):
+        # Two-sample chi-squared on death cells: 6,000 scalar walks against
+        # 6,000 from the block kernel.
+        arena = SlimeArena(half_width=3, **{"kill_probability": 0.1, **case})
+        s = stream(seed=23, label="slime-law-scalar")
+        scalar = [slime_death_cell(arena, s) for _ in range(6000)]
+        block = slime_death_cells(arena, stream(seed=23, label="slime-law-block"), 6000)
+        statistic, df = two_sample_chi2(cell_histogram([(c.x, c.z) for c in scalar], 3),
+                                        cell_histogram(block, 3))
+        assert statistic < chi2.ppf(0.999, df=df)
+
+    @pytest.mark.parametrize("chunk", [SLIME_CHUNK_SEGMENTS, 3])
+    @pytest.mark.parametrize("turn", [0.0, 0.2, 1.0])
+    def test_unfolded_displacement_matches_the_rounds(self, monkeypatch, turn, chunk):
+        # Death cells without drift are uniform for any move count, so the
+        # cell test above cannot see the segment bookkeeping; the free
+        # displacement can.  Its length in steps, binned with half-integer
+        # edges (a walk that never turns moves a whole number of steps),
+        # against the scalar rounds in the open plane.  A chunk of 3
+        # segments splits many walkers across two or more chunks.
+        monkeypatch.setattr(mechanics, "SLIME_CHUNK_SEGMENTS", chunk)
+        arena = SlimeArena(half_width=3, kill_probability=0.1, turn_probability=turn)
+        s = stream(seed=29, label="slime-free-scalar")
+        scalar = np.array([open_plane_displacement(arena, s) for _ in range(6000)]).T
+        block = _free_displacement(arena, stream(seed=29, label="slime-free-block"), 6000)
+        edges = [0, 0.5, 1.5, 2.5, 4.5, 6.5, 9.5, 13.5, 19.5, 29.5, np.inf]
+        statistic, df = two_sample_chi2(
+            np.histogram(np.hypot(*scalar) / arena.step_cells, edges)[0],
+            np.histogram(np.hypot(*block) / arena.step_cells, edges)[0])
+        assert statistic < chi2.ppf(0.999, df=df)
+
+    @pytest.mark.parametrize("drift", [(0.0, 0.0), (0.3, -0.3)], ids=["unfolded", "stepped"])
+    def test_memory_stays_bounded_at_the_least_kill_probability(self, drift):
+        # At the table's least kill_probability a walker makes about 1,000
+        # moves, and 16,384 walkers run about 3.3M straight segments: some
+        # 130 MB of per-segment arrays if drawn at once.
+        least = PARAMS["pi"]["kill_probability"].minimum
+        arena = SlimeArena(half_width=20, kill_probability=least, drift_bias=drift)
+        tracemalloc.start()
+        try:
+            cells = slime_death_cells(arena, stream(seed=31, label="slime-memory"), 16_384)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cells.shape == (16_384, 2) and np.abs(cells).max() <= 20
+        assert peak < 32 * 2 ** 20
+
+    def test_long_walks_are_drawn_in_chunks(self):
+        # SlimeArena itself takes any kill_probability in (0, 1].  These 8
+        # walkers turn every round and make about a million moves each, so
+        # one walker alone holds several chunks of segments: some 100 MB of
+        # per-segment arrays if drawn at once.
+        arena = SlimeArena(half_width=20, kill_probability=1e-6, turn_probability=1.0)
+        tracemalloc.start()
+        try:
+            cells = slime_death_cells(arena, stream(seed=37, label="slime-long-walks"), 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.abs(cells).max() <= 20
+        assert peak < 32 * 2 ** 20
 
     def test_kill_probability_validation(self):
         with pytest.raises(ValueError):
