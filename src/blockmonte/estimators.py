@@ -22,8 +22,8 @@ import numpy as np
 from .combinatorics import alternating_flags, derangement_flags
 from .errors import DegenerateCourseError, DegenerateRegionError, DegenerateSampleError
 from .geometry import (
-    GridCell,
     TriangleCourse,
+    cells_in_disc,
     gauss_kronrod,
     rasterize_circle,
     rasterize_curve,
@@ -181,7 +181,8 @@ PARAMS: dict[str, dict[str, Param]] = {
         "random_start_phase": Param("bool", False),
     },
     "pi": {
-        "radius": Param("int", 50, minimum=1),
+        # Beyond 2^30 the int64 disc test x^2 + z^2 <= r^2 could overflow.
+        "radius": Param("int", 50, minimum=1, maximum=2 ** 30),
         "sampler_mode": Param("choice", "uniform_ideal",
                               choices=("uniform_ideal", "slime_walk", "slime_walk_drift")),
         "raster_mode": Param("choice", "exact_disc", choices=("raster", "exact_disc")),
@@ -368,26 +369,23 @@ def _pi_cells(stream, count: int, radius: int, arena) -> tuple[np.ndarray, np.nd
 
 def _pi_inside_mask(stream, count: int, params: dict, raster, arena) -> np.ndarray:
     radius = params["radius"]
-    if params["raster_mode"] == "exact_disc":
-        if arena is None:
-            # (x - 0.5)^2 + (z - 0.5)^2 <= R^2, in place
-            points = _uniform_points(stream, count, radius)
-            points -= 0.5
-            np.square(points, out=points)
-            distance2 = np.add(points[0], points[1], out=points[0])
-            return distance2 <= float(radius) ** 2
-        cx, cz = _pi_cells(stream, count, radius, arena)
-        return cx * cx + cz * cz <= radius * radius
-    return raster.contains_cells(*_pi_cells(stream, count, radius, arena))
+    if raster is not None:
+        return raster.contains_cells(*_pi_cells(stream, count, radius, arena))
+    if arena is None:
+        # (x - 0.5)^2 + (z - 0.5)^2 <= R^2, in place
+        points = _uniform_points(stream, count, radius)
+        points -= 0.5
+        np.square(points, out=points)
+        distance2 = np.add(points[0], points[1], out=points[0])
+        return distance2 <= float(radius) ** 2
+    # a death cell is in the exact disc iff its center is: the raster's test
+    return cells_in_disc(*_pi_cells(stream, count, radius, arena), radius)
 
 
 def estimate_pi(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Monte Carlo disc experiment: estimate = 4 * inside / total."""
     params = resolve_params("pi", config.variant_params)
-    raster = None
-    if params["raster_mode"] == "raster":
-        raster = rasterize_circle(params["radius"])
-        raster.mask  # build the lookup once, before any worker threads share it
+    raster = rasterize_circle(params["radius"]) if params["raster_mode"] == "raster" else None
     arena = _pi_arena(params)
 
     def block(stream, count):
@@ -412,8 +410,10 @@ def estimate_pi(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     )
 
 
-def collect_pi_outcomes(config: ExperimentConfig, limit: int = 10_000) -> list[GridCell]:
-    """Death cells for a scatter plot, drawn with the config's seed.
+def collect_pi_outcomes(config: ExperimentConfig,
+                        limit: int = 10_000) -> tuple[np.ndarray, np.ndarray]:
+    """Death cells for a scatter plot, as (x, z) int64 arrays, drawn with
+    the config's seed.
 
     Uses its own block-0 stream sized to ``limit``, so the dots are a
     reproducible sample of the configured experiment rather than a prefix
@@ -421,10 +421,7 @@ def collect_pi_outcomes(config: ExperimentConfig, limit: int = 10_000) -> list[G
     """
     params = resolve_params("pi", config.variant_params)
     stream = derive_stream(config.master_seed, StreamId("pi/scatter", 0))
-    cx, cz = _pi_cells(stream, min(config.trials, limit), params["radius"], _pi_arena(params))
-    # repeats share one GridCell: the dots fall on at most (2r+1)^2 cells
-    shared = lru_cache(maxsize=None)(GridCell)
-    return list(map(shared, cx.tolist(), cz.tolist()))
+    return _pi_cells(stream, min(config.trials, limit), params["radius"], _pi_arena(params))
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +726,8 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
 
     [hits] = _map_blocks(config.master_seed, [("integral", config.trials, block)], workers)
     above, below = (int(h) for h in hits)
+    if above + below == 0:  # zero hits would read as a certain zero, stderr 0
+        raise DegenerateSampleError("no point landed between the curve and the axis")
     net = (above - below) / config.trials
     hit = (above + below) / config.trials
     estimate = net * box_area

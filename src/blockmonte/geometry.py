@@ -21,13 +21,6 @@ class GridCell:
     z: int
 
 
-def _cell_xz(cell) -> tuple[int, int]:
-    if isinstance(cell, GridCell):
-        return cell.x, cell.z
-    x, z = cell
-    return int(x), int(z)
-
-
 def cell_in_disc(cell, radius: float) -> bool:
     """True iff the cell's center lies within ``radius`` of the origin
     cell's center (boundary inclusive).
@@ -37,83 +30,91 @@ def cell_in_disc(cell, radius: float) -> bool:
     """
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    x, z = _cell_xz(cell)
-    d2 = x * x + z * z
-    if float(radius).is_integer():
-        r = int(radius)
-        return d2 <= r * r
-    return d2 <= radius * radius
+    x, z = (cell.x, cell.z) if isinstance(cell, GridCell) else map(int, cell)
+    r = int(radius) if float(radius).is_integer() else radius
+    return x * x + z * z <= r * r
+
+
+def cells_in_disc(xs: np.ndarray, zs: np.ndarray, radius: int) -> np.ndarray:
+    """``cell_in_disc`` for int64 cell coordinate arrays and an integer
+    radius: x^2 + z^2 <= r^2.
+
+    Coordinates are clipped to [-(r + 1), r + 1] first, which changes no
+    answer and keeps 2 (r + 1)^2 within int64 for any radius up to 2^30.
+    """
+    edge = radius + 1
+    x2 = np.clip(xs, -edge, edge)
+    z2 = np.clip(zs, -edge, edge)
+    np.multiply(x2, x2, out=x2)
+    np.multiply(z2, z2, out=z2)
+    x2 += z2
+    return x2 <= radius * radius
 
 
 @dataclass(frozen=True)
 class CircleRaster:
-    """Set of grid cells approximating the disc of an integer radius.
+    """The grid cells of the disc of an integer radius, x^2 + z^2 <= r^2.
 
-    Closed under the 8 dihedral symmetries (x,z) -> (+-x, +-z) and swap.
+    Column x holds the cells |z| <= spans[|x|].  Closed under the 8 dihedral
+    symmetries (x,z) -> (+-x, +-z) and swap, so row z holds |x| <= spans[|z|].
     """
 
     radius: int
-    inside_cells: frozenset[GridCell]
-
-    def __contains__(self, cell) -> bool:
-        x, z = _cell_xz(cell)
-        return GridCell(x, z) in self.inside_cells
 
     @cached_property
-    def mask(self) -> np.ndarray:
-        """Boolean lookup grid indexed by [x + radius + 1, z + radius + 1].
+    def spans(self) -> tuple[int, ...]:
+        """spans[i] = isqrt(r^2 - i^2) for i = 0..r, then -1 for the empty
+        column just outside the disc."""
+        r = self.radius
+        return tuple(math.isqrt(r * r - i * i) for i in range(r + 1)) + (-1,)
 
-        Its outermost ring lies one cell outside the square and is all
-        False, so coordinates clipped onto it read as outside.
-        """
-        edge = self.radius + 1
-        grid = np.zeros((2 * edge + 1, 2 * edge + 1), dtype=bool)
-        for cell in self.inside_cells:
-            grid[cell.x + edge, cell.z + edge] = True
-        grid.setflags(write=False)
-        return grid
+    @cached_property
+    def inside_cells(self) -> frozenset[GridCell]:
+        """Every cell of the disc as a set: O(r^2), for oracles and tests."""
+        r, spans = self.radius, self.spans
+        return frozenset(GridCell(x, z) for x in range(-r, r + 1)
+                         for z in range(-spans[abs(x)], spans[abs(x)] + 1))
+
+    def __contains__(self, cell) -> bool:
+        return cell_in_disc(cell, self.radius)
 
     def contains_cells(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
         """Vectorised membership for integer cell coordinate arrays."""
-        edge = self.radius + 1
-        index = np.clip(xs, -edge, edge)
-        index += edge
-        index *= 2 * edge + 1
-        index += np.clip(zs, -edge, edge)
-        index += edge
-        return self.mask.take(index)
+        return cells_in_disc(xs, zs, self.radius)
+
+    def _ring(self, i: int) -> range:
+        """|z| of the outline cells in column |x| = i, and by symmetry |x|
+        of those in row |z| = i: a cell's outer z neighbour is outside iff
+        |z| == spans[i], its outer x neighbour iff |z| > spans[i + 1], and
+        spans never grow with i, so its inner neighbours are inside."""
+        span = self.spans[i]
+        return range(min(span, self.spans[i + 1] + 1), span + 1)
 
     def outline_cells(self) -> frozenset[GridCell]:
         """Raster cells with at least one 4-neighbour outside (the ring)."""
-        grid = self.mask
-        square = grid[1:-1, 1:-1]
-        ring = square & ~(grid[:-2, 1:-1] & grid[2:, 1:-1] & grid[1:-1, :-2] & grid[1:-1, 2:])
-        xs, zs = np.nonzero(ring)
-        r = self.radius
-        return frozenset(GridCell(x - r, z - r) for x, z in zip(xs.tolist(), zs.tolist()))
+        cells = []
+        for x in range(-self.radius, self.radius + 1):
+            ring = self._ring(abs(x))
+            cells.extend(GridCell(x, z) for z in ring)
+            cells.extend(GridCell(x, -z) for z in ring if z)
+        return frozenset(cells)
 
 
 def rasterize_circle(radius: int) -> CircleRaster:
-    """All cells whose centers fall inside the disc, per ``cell_in_disc``."""
+    """The disc of cells whose centers fall inside ``radius`` (``cell_in_disc``)."""
     if radius < 1 or int(radius) != radius:
         raise ValueError("radius must be a positive integer")
-    radius = int(radius)
-    cells = []
-    for x in range(-radius, radius + 1):
-        span = math.isqrt(radius * radius - x * x)
-        cells.extend(GridCell(x, z) for z in range(-span, span + 1))
-    return CircleRaster(radius=radius, inside_cells=frozenset(cells))
+    return CircleRaster(radius=int(radius))
 
 
 def raster_to_text(raster: CircleRaster, fill: str = "#", empty: str = ".",
                    outline_only: bool = False) -> str:
     """Plain-text rendering, one grid row per line (north at the top)."""
-    cells = raster.outline_cells() if outline_only else raster.inside_cells
-    r = raster.radius
+    r, spans = raster.radius, raster.spans
     rows = []
     for z in range(r, -r - 1, -1):
-        rows.append("".join(fill if GridCell(x, z) in cells else empty
-                            for x in range(-r, r + 1)))
+        filled = raster._ring(abs(z)) if outline_only else range(spans[abs(z)] + 1)
+        rows.append("".join(fill if abs(x) in filled else empty for x in range(-r, r + 1)))
     return "\n".join(rows)
 
 

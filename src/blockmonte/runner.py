@@ -24,7 +24,7 @@ from .estimators import (
     collect_pi_outcomes,
     run_config,
 )
-from .geometry import CircleRaster, GridCell, rasterize_circle
+from .geometry import CircleRaster, rasterize_circle
 
 REPORT_FORMATS = ("jsonl", "csv", "svg", "txt")
 
@@ -185,8 +185,8 @@ def write_reports(manifest: RunManifest, records: list[EstimateRecord]) -> list[
                 continue
             path = manifest.output_dir / f"{manifest.run_id}_{index:02d}_pi.svg"
             radius = int(record.params.get("radius", 50))
-            outcomes = collect_pi_outcomes(config, SCATTER_DOT_LIMIT)
-            emit_scatter(outcomes, rasterize_circle(radius), path)
+            xs, zs = collect_pi_outcomes(config, SCATTER_DOT_LIMIT)
+            emit_scatter(xs, zs, rasterize_circle(radius), path)
             written.append(path)
     return written
 
@@ -223,17 +223,17 @@ _INSIDE_COLOR = "#1f77b4"
 _OUTSIDE_COLOR = "#d62728"
 
 
-def emit_scatter(outcomes: list[GridCell], raster: CircleRaster, path,
+def emit_scatter(xs: np.ndarray, zs: np.ndarray, raster: CircleRaster, path,
                  counts: tuple[int, int] | None = None) -> Path:
     """Write an SVG: arena square, raster circle outline, one dot per death
-    colored by raster membership, and a caption with the 4*inside/total
-    arithmetic.
+    cell (xs[i], zs[i]) colored by raster membership, and a caption with
+    the 4*inside/total arithmetic.
 
     ``counts`` substitutes recorded (inside, total) tallies in the caption,
     for replaying tallies whose individual dots were never kept.
     """
-    if not outcomes:
-        raise ValueError("outcomes must be non-empty")
+    if len(xs) == 0:
+        raise ValueError("xs and zs must be non-empty")
     path = Path(path)
     r = raster.radius
     scale = max(4, 600 // (2 * r + 3))
@@ -246,9 +246,7 @@ def emit_scatter(outcomes: list[GridCell], raster: CircleRaster, path,
         return (r + 2 - world_z) * scale
 
     # one membership pass, and one <circle> per distinct cell: cells are
-    # keyed by their row-major index in the box the outcomes span
-    xs = np.fromiter((cell.x for cell in outcomes), np.int64, len(outcomes))
-    zs = np.fromiter((cell.z for cell in outcomes), np.int64, len(outcomes))
+    # keyed by their row-major index in the box the dots span
     x0, z0 = xs.min(), zs.min()
     width = zs.max() - z0 + 1
     keys, slot = np.unique((xs - x0) * width + (zs - z0), return_inverse=True)
@@ -257,7 +255,7 @@ def emit_scatter(outcomes: list[GridCell], raster: CircleRaster, path,
     cells_z += z0
     inside = raster.contains_cells(cells_x, cells_z)
     inside_count = int(inside[slot].sum())
-    caption_inside, caption_total = counts if counts is not None else (inside_count, len(outcomes))
+    caption_inside, caption_total = counts if counts is not None else (inside_count, len(xs))
     estimate = 4.0 * caption_inside / caption_total
 
     parts = [

@@ -179,6 +179,12 @@ def dot_by_dot_scatter(outcomes, raster, counts=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def cell_arrays(cells):
+    """The (xs, zs) int64 arrays ``emit_scatter`` takes, from GridCells."""
+    return (np.array([cell.x for cell in cells], dtype=np.int64),
+            np.array([cell.z for cell in cells], dtype=np.int64))
+
+
 class TestScatter:
     @pytest.mark.parametrize("radius", [5, 20])
     @pytest.mark.parametrize("counts", [None, (33943, 43270)])
@@ -192,20 +198,21 @@ class TestScatter:
         spread = [GridCell(int(x), int(z)) for x, z in rng.integers(-r, r + 1, size=(400, 2))]
         outcomes = edges + spread + edges[::-1] + spread[:50] + [GridCell(0, 0)] * 3
         path = tmp_path / "dots.svg"
-        emit_scatter(outcomes, rasterize_circle(r), path, counts=counts)
+        emit_scatter(*cell_arrays(outcomes), rasterize_circle(r), path, counts=counts)
         assert path.read_bytes() == dot_by_dot_scatter(
             outcomes, rasterize_circle(r), counts).encode("utf-8")
 
     def test_single_dot_caption(self, tmp_path):
         path = tmp_path / "one.svg"
-        emit_scatter([GridCell(0, 0)], rasterize_circle(11), path)
+        emit_scatter(*cell_arrays([GridCell(0, 0)]), rasterize_circle(11), path)
         svg = path.read_text()
         assert svg.count("<circle") == 1
         assert "4 · 1/1 = 4.000" in svg
 
     def test_injected_counts_caption(self, tmp_path):
         path = tmp_path / "fig.svg"
-        emit_scatter([GridCell(0, 0)], rasterize_circle(11), path, counts=(33943, 43270))
+        emit_scatter(*cell_arrays([GridCell(0, 0)]), rasterize_circle(11), path,
+                     counts=(33943, 43270))
         assert "4 · 33943/43270 = 3.13779" in path.read_text()
 
     def test_uniform_dot_field_colors_match_area(self, tmp_path):
@@ -213,16 +220,16 @@ class TestScatter:
 
         cfg = ExperimentConfig(variant="pi", master_seed=12, trials=10_000,
                                variant_params={"radius": 50})
-        cells = collect_pi_outcomes(cfg, 10_000)
+        xs, zs = collect_pi_outcomes(cfg, 10_000)
         path = tmp_path / "field.svg"
-        emit_scatter(cells, rasterize_circle(50), path)
+        emit_scatter(xs, zs, rasterize_circle(50), path)
         inside = path.read_text().count('fill="#1f77b4"')
         expected = math.pi / 4 * 10_000
         assert abs(inside - expected) < 3 * math.sqrt(10_000 * 0.785 * 0.215)
 
     def test_empty_outcomes_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_scatter([], rasterize_circle(5), tmp_path / "no.svg")
+            emit_scatter(*cell_arrays([]), rasterize_circle(5), tmp_path / "no.svg")
 
 
 class TestCommandLine:
@@ -268,6 +275,7 @@ class TestCommandLine:
         (["zeta", "--param", "m=65"], "m"),
         (["pi", "--param", "sampler_mode=slime_walk", "--param", "kill_probability=1e-4"],
          "kill_probability"),
+        (["pi", "--param", "radius=1073741825"], "radius"),
     ])
     def test_bad_param_exits_two_and_names_field(self, capsys, argv, field):
         assert cli.main(["estimate", *argv, "--trials", "100"]) == 2
@@ -284,6 +292,16 @@ class TestCommandLine:
                          "--param", "speed=100"])
         assert code == 1
         assert "degenerate" in capsys.readouterr().err
+
+    def test_integral_with_no_hits_exits_one(self, capsys):
+        # The pole stretches the sampling box until no point lands between
+        # the curve and the axis; zero hits must not read as a zero stderr.
+        code = cli.main(["estimate", "integral", "--trials", "100",
+                         "--param", "function_spec=1/(x-0.3)"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "degenerate" in captured.err
+        assert captured.out == ""
 
     def test_env_seed_default_and_flag_override(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "123")

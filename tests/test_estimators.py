@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from blockmonte.estimators import (
     parse_function,
     run_config,
 )
+from blockmonte.geometry import GridCell
 from blockmonte.mechanics import Dropper, dropper_permutation_block
 from blockmonte.numtheory import coprime_probability_exact
 from blockmonte.rng import StreamId, derive_stream
@@ -91,6 +94,7 @@ class TestConfigValidation:
         ("zeta", {"value_bound": 2 ** 70}, "value_bound"),
         ("zeta", {"m": 65}, "m"),
         ("pi", {"sampler_mode": "slime_walk", "kill_probability": 1e-4}, "kill_probability"),
+        ("pi", {"radius": 2 ** 30 + 1}, "radius"),
     ])
     def test_bad_value_names_its_field(self, variant, params, field):
         with pytest.raises(ValueError, match=f"'{field}'"):
@@ -194,6 +198,27 @@ class TestPi:
                                     raster_mode="raster"))
         assert 3.0 < record.estimate < 3.3
 
+    def test_raster_mode_builds_nothing_quadratic_in_the_radius(self):
+        # The disc at r = 400 holds about 500,000 cells; a short run must
+        # not pay for a table of them.
+        cfg = config("pi", seed=4, trials=1_000, radius=400, raster_mode="raster")
+        start = time.perf_counter()
+        estimate_pi(cfg)
+        assert time.perf_counter() - start < 0.5
+        tracemalloc.start()
+        try:
+            estimate_pi(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+
+    def test_largest_radius_runs_in_both_modes(self):
+        for raster_mode in ("raster", "exact_disc"):
+            record = estimate_pi(config("pi", seed=4, trials=20_000, radius=2 ** 30,
+                                        raster_mode=raster_mode))
+            assert abs(record.estimate - PI) < 4 * record.stderr
+
     def test_slime_walk_mode_runs(self):
         record = estimate_pi(config("pi", seed=5, trials=5_000, radius=15,
                                     sampler_mode="slime_walk", raster_mode="raster"))
@@ -221,7 +246,8 @@ class TestPi:
             estimate_pi(config("pi", trials=10, radius=12, raster_mode="raster"))
 
     def test_outcome_collection(self):
-        cells = collect_pi_outcomes(config("pi", trials=500, radius=11), limit=1000)
+        xs, zs = collect_pi_outcomes(config("pi", trials=500, radius=11), limit=1000)
+        cells = [GridCell(x, z) for x, z in zip(xs.tolist(), zs.tolist())]
         assert len(cells) == 500
         assert all(-11 <= c.x <= 11 and -11 <= c.z <= 11 for c in cells)
 
@@ -382,6 +408,10 @@ class TestIntegral:
         record = estimate_integral(config("integral", function_spec="0*x", a=0, b=1))
         assert record.estimate == 0.0
         assert record.stderr == 0.0
+
+    def test_no_hits_on_a_tall_box_is_degenerate(self):
+        with pytest.raises(DegenerateSampleError):
+            estimate_integral(config("integral", trials=100, function_spec="1/(x-0.3)"))
 
     def test_linear_function(self):
         record = estimate_integral(config("integral", seed=1, trials=1_000_000,

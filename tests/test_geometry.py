@@ -97,6 +97,35 @@ class TestCircleRaster:
                     for x, z, square in zip(xs.tolist(), zs.tolist(), in_square)]
         assert raster.contains_cells(xs, zs).tolist() == expected
 
+    @pytest.mark.parametrize("radius", range(1, 65))
+    def test_spans_match_brute_force_over_the_padded_square(self, radius):
+        r = radius
+        square = [(x, z) for x in range(-r - 1, r + 2) for z in range(-r - 1, r + 2)]
+        inside = {cell for cell in square if cell[0] ** 2 + cell[1] ** 2 <= r * r}
+        ring = {(x, z) for x, z in inside
+                if not {(x + 1, z), (x - 1, z), (x, z + 1), (x, z - 1)} <= inside}
+        raster = rasterize_circle(r)
+        assert len(raster.inside_cells) == len(inside)
+        assert {(c.x, c.z) for c in raster.inside_cells} == inside
+        assert {(c.x, c.z) for c in raster.outline_cells()} == ring
+        xs, zs = (np.array(axis) for axis in zip(*square))
+        assert raster.contains_cells(xs, zs).tolist() == [cell in inside for cell in square]
+        for text, cells in ((raster_to_text(raster), inside),
+                            (raster_to_text(raster, outline_only=True), ring)):
+            assert text.splitlines() == [
+                "".join("#" if (x, z) in cells else "." for x in range(-r, r + 1))
+                for z in range(r, -r - 1, -1)]
+
+    def test_largest_radius_does_not_overflow(self):
+        r = 2 ** 30
+        raster = rasterize_circle(r)
+        span = math.isqrt(r * r - 2 ** 58)  # the column at x = r / 2
+        xs = np.array([r, r + 1, r, -r, 0, 2 ** 62, -(2 ** 62), 2 ** 29, 2 ** 29])
+        zs = np.array([0, 0, 1, 0, -r, 2 ** 62, 2 ** 62, span, span + 1])
+        expected = [x * x + z * z <= r * r for x, z in zip(xs.tolist(), zs.tolist())]
+        assert expected == [True, False, False, True, True, False, False, True, False]
+        assert raster.contains_cells(xs, zs).tolist() == expected
+
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             rasterize_circle(0)
