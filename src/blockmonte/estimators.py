@@ -52,6 +52,10 @@ BLOCK_TRIALS = 1 << 16
 
 Z_95 = 1.96
 
+# rasterize_curve evaluates f once per column in Python, about 2.5 us each,
+# so rasterized integrals take at most this many columns (b - a).
+MAX_RASTER_COLUMNS = 100_000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -92,6 +96,58 @@ class EstimateRecord:
     relative_error_percent: float | None
     seed: int | None
     params: dict
+
+
+# ---------------------------------------------------------------------------
+# record builders: the counts-to-record arithmetic, shared by the sampling
+# estimators and the count replay
+
+
+def _record(variant: str, estimate: float, trials_used: int, success_count: int | None,
+            stderr: float | None, ci: tuple, reference: float, seed: int | None,
+            params: dict) -> EstimateRecord:
+    """The one place a record is built; relative error is None against a
+    zero reference, where it is undefined."""
+    return EstimateRecord(
+        variant=variant,
+        estimate=estimate,
+        trials_used=trials_used,
+        success_count=success_count,
+        stderr=stderr,
+        ci_low=ci[0],
+        ci_high=ci[1],
+        reference=reference,
+        relative_error_percent=(relative_error(estimate, reference) if reference != 0 else None),
+        seed=seed,
+        params=params,
+    )
+
+
+def _pi_record(inside: int, total: int, seed: int | None, params: dict) -> EstimateRecord:
+    """4 * inside / total, its binomial stderr and the Wilson interval times 4."""
+    p_hat = inside / total
+    low, high = wilson_ci(inside, total, Z_95)
+    return _record("pi", 4.0 * inside / total, total, inside,
+                   4.0 * math.sqrt(p_hat * (1.0 - p_hat) / total), (4.0 * low, 4.0 * high),
+                   CONSTANTS.pi, seed, params)
+
+
+def _ratio_record(variant: str, trials: int, successes: int, reference: float,
+                  seed: int | None, params: dict) -> EstimateRecord:
+    """trials / successes (e, zeta), its delta-method stderr and the Wilson
+    interval of the proportion, inverted.  The caller rejects zero successes."""
+    low, high = wilson_ci(successes, trials, Z_95)
+    return _record(variant, trials / successes, trials, successes,
+                   ratio_stderr(successes, trials), (1.0 / high, 1.0 / low),
+                   reference, seed, params)
+
+
+def _quotient_record(hyp_items: int, leg_items: int, seed: int | None,
+                     params: dict) -> EstimateRecord:
+    """sqrt2's hyp_items / leg_items: one deterministic count ratio, no
+    sampling model, so no stderr or interval."""
+    return _record("sqrt2", hyp_items / leg_items, 1, None, None, (None, None),
+                   CONSTANTS.sqrt2, seed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +260,12 @@ PARAMS: dict[str, dict[str, Param]] = {
         "m": Param("int", 3, minimum=2, maximum=64),
         "sampler_mode": Param("choice", "uniform", choices=("uniform", "random_tick")),
         "value_bound": Param("int", 10 ** 6, minimum=2, maximum=2 ** 63 - 1),
-        "growth_prob": Param("float", 1.0 / 3.0, above=0, maximum=1),
-        "speed_multiplier": Param("int", 64, minimum=1),
+        # A tick-and-grow chance p below about 4e-18 lets a geometric wait
+        # pass 2^63; the least selection probability (speed_multiplier 1) is
+        # 7.3e-4, so this minimum keeps p above 7.3e-18.
+        "growth_prob": Param("float", 1.0 / 3.0, minimum=1e-14, maximum=1),
+        # 3 picks per tick times this cannot exceed the 16^3-cell cube.
+        "speed_multiplier": Param("int", 64, minimum=1, maximum=4096 // 3),
     },
     "sec_tan": {
         "max_size": Param("int", 9, minimum=0, maximum=9),
@@ -248,8 +308,13 @@ def resolve_params(variant: str, raw: dict) -> dict:
             raise ValueError("invalid value for 'drift': only slime_walk_drift accepts a bias")
     if variant == "sqrt2":
         _check_hopper_windows(params)
-    if variant == "integral" and not params["a"] < params["b"]:
-        raise ValueError("invalid value for 'b': bounds must satisfy a < b")
+    if variant == "integral":
+        if not params["a"] < params["b"]:
+            raise ValueError("invalid value for 'b': bounds must satisfy a < b")
+        if (params["raster_mode"] == "rasterized"
+                and params["b"] - params["a"] > MAX_RASTER_COLUMNS):
+            raise ValueError(f"invalid value for 'b': rasterized mode takes at most "
+                             f"{MAX_RASTER_COLUMNS} columns (b - a)")
     return params
 
 
@@ -392,22 +457,7 @@ def estimate_pi(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
         return int(_pi_inside_mask(stream, count, params, raster, arena).sum())
 
     [inside] = _map_blocks(config.master_seed, [("pi", config.trials, block)], workers)
-    estimate = 4.0 * inside / config.trials
-    p_hat = inside / config.trials
-    low, high = wilson_ci(inside, config.trials, Z_95)
-    return EstimateRecord(
-        variant="pi",
-        estimate=estimate,
-        trials_used=config.trials,
-        success_count=inside,
-        stderr=4.0 * math.sqrt(p_hat * (1.0 - p_hat) / config.trials),
-        ci_low=4.0 * low,
-        ci_high=4.0 * high,
-        reference=CONSTANTS.pi,
-        relative_error_percent=relative_error(estimate, CONSTANTS.pi),
-        seed=config.master_seed,
-        params=params,
-    )
+    return _pi_record(inside, config.trials, config.master_seed, params)
 
 
 def collect_pi_outcomes(config: ExperimentConfig,
@@ -441,21 +491,8 @@ def estimate_e(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     [derangements] = _map_blocks(config.master_seed, [("e", config.trials, block)], workers)
     if derangements == 0:
         raise DegenerateSampleError("no derangements observed; cannot form trials/derangements")
-    estimate = config.trials / derangements
-    low, high = wilson_ci(derangements, config.trials, Z_95)
-    return EstimateRecord(
-        variant="e",
-        estimate=estimate,
-        trials_used=config.trials,
-        success_count=derangements,
-        stderr=ratio_stderr(derangements, config.trials),
-        ci_low=1.0 / high,
-        ci_high=1.0 / low,
-        reference=CONSTANTS.e,
-        relative_error_percent=relative_error(estimate, CONSTANTS.e),
-        seed=config.master_seed,
-        params=params,
-    )
+    return _ratio_record("e", config.trials, derangements, CONSTANTS.e,
+                         config.master_seed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -559,30 +596,16 @@ def estimate_zeta(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     [coprime] = _map_blocks(config.master_seed, [("zeta", config.trials, block)], workers)
     if coprime == 0:
         raise DegenerateSampleError("no coprime tuples observed; cannot form trials/coprime")
-    estimate = config.trials / coprime
-    reference = reference_zeta(m)
-    low, high = wilson_ci(coprime, config.trials, Z_95)
     params["value_distribution"] = "uniform" if uniform else "negative_binomial_non_uniform"
-    stderr = ratio_stderr(coprime, config.trials)
+    record = _ratio_record("zeta", config.trials, coprime, reference_zeta(m),
+                           config.master_seed, params)
     if m in ZETA_EVEN_PI_COEFFICIENT:
         scale = 1.0 / float(ZETA_EVEN_PI_COEFFICIENT[m])
         params["pi_power"] = m
-        params["pi_power_estimate"] = scale * estimate
-        params["pi_power_stderr"] = scale * stderr
+        params["pi_power_estimate"] = scale * record.estimate
+        params["pi_power_stderr"] = scale * record.stderr
         params["pi_power_reference"] = CONSTANTS.pi ** m
-    return EstimateRecord(
-        variant="zeta",
-        estimate=estimate,
-        trials_used=config.trials,
-        success_count=coprime,
-        stderr=stderr,
-        ci_low=1.0 / high,
-        ci_high=1.0 / low,
-        reference=reference,
-        relative_error_percent=relative_error(estimate, reference),
-        seed=config.master_seed,
-        params=params,
-    )
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -612,19 +635,9 @@ def estimate_sec_tan(config: ExperimentConfig, workers: int = 1) -> EstimateReco
     stderr = math.sqrt(variance)
     params["trials_per_size"] = config.trials
     params["alternating_counts"] = per_size
-    return EstimateRecord(
-        variant="sec_tan",
-        estimate=estimate,
-        trials_used=config.trials * len(sizes),
-        success_count=None,
-        stderr=stderr,
-        ci_low=estimate - Z_95 * stderr,
-        ci_high=estimate + Z_95 * stderr,
-        reference=CONSTANTS.sec1_plus_tan1,
-        relative_error_percent=relative_error(estimate, CONSTANTS.sec1_plus_tan1),
-        seed=config.master_seed,
-        params=params,
-    )
+    return _record("sec_tan", estimate, config.trials * len(sizes), None, stderr,
+                   (estimate - Z_95 * stderr, estimate + Z_95 * stderr),
+                   CONSTANTS.sec1_plus_tan1, config.master_seed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -701,12 +714,8 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
         # spans 0); nothing can land strictly above or below the axis, so
         # the net estimate is exactly 0 and no sampling is needed.
         params["note"] = "flat zero curve; estimate exact"
-        return EstimateRecord(
-            variant="integral", estimate=0.0, trials_used=config.trials,
-            success_count=0, stderr=0.0, ci_low=0.0, ci_high=0.0,
-            reference=reference,
-            relative_error_percent=(relative_error(0.0, reference) if reference != 0 else None),
-            seed=config.master_seed, params=params)
+        return _record("integral", 0.0, config.trials, 0, 0.0, (0.0, 0.0), reference,
+                       config.master_seed, params)
     if not (math.isfinite(y_low) and math.isfinite(y_high)):
         raise DegenerateRegionError("sampling box is unbounded")
 
@@ -734,19 +743,9 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
     stderr = box_area * math.sqrt(max(0.0, hit - net * net) / config.trials)
     params["hits_above"] = above
     params["hits_below"] = below
-    return EstimateRecord(
-        variant="integral",
-        estimate=estimate,
-        trials_used=config.trials,
-        success_count=above + below,
-        stderr=stderr,
-        ci_low=estimate - Z_95 * stderr,
-        ci_high=estimate + Z_95 * stderr,
-        reference=reference,
-        relative_error_percent=(relative_error(estimate, reference) if reference != 0 else None),
-        seed=config.master_seed,
-        params=params,
-    )
+    return _record("integral", estimate, config.trials, above + below, stderr,
+                   (estimate - Z_95 * stderr, estimate + Z_95 * stderr), reference,
+                   config.master_seed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -776,22 +775,9 @@ def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord
     if leg_items == 0:
         raise DegenerateCourseError(
             "leg traversal finished before the timer released a single item")
-    estimate = hyp_items / leg_items
     params["leg_items"] = leg_items
     params["hyp_items"] = hyp_items
-    return EstimateRecord(
-        variant="sqrt2",
-        estimate=estimate,
-        trials_used=1,
-        success_count=None,
-        stderr=None,
-        ci_low=None,
-        ci_high=None,
-        reference=CONSTANTS.sqrt2,
-        relative_error_percent=relative_error(estimate, CONSTANTS.sqrt2),
-        seed=config.master_seed,
-        params=params,
-    )
+    return _quotient_record(hyp_items, leg_items, config.master_seed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -832,53 +818,31 @@ def estimate_from_counts(variant: str, counts: tuple[int, int], *, m: int = 3,
     if variant == "sqrt2":
         if second == 0:
             raise DegenerateSampleError("leg item count is zero")
-        estimate, reference = first / second, CONSTANTS.sqrt2
-        trials_used, success, stderr, ci = 1, None, None, (None, None)
-        echo = {"counts": [first, second], "hyp_items": first, "leg_items": second}
+        record = _quotient_record(first, second, None, {
+            "counts": [first, second], "hyp_items": first, "leg_items": second})
     elif variant == "pi":
         if second == 0:
             raise DegenerateSampleError("total count is zero")
         if first > second:
             raise ValueError("inside count cannot exceed the total")
-        estimate, reference = 4.0 * first / second, CONSTANTS.pi
-        p_hat = first / second
-        low, high = wilson_ci(first, second, Z_95)
-        trials_used, success = second, first
-        stderr = 4.0 * math.sqrt(p_hat * (1.0 - p_hat) / second)
-        ci = (4.0 * low, 4.0 * high)
-        echo = {"counts": [first, second], "inside": first, "total": second}
+        record = _pi_record(first, second, None, {
+            "counts": [first, second], "inside": first, "total": second})
     else:  # e and zeta share the trials/successes shape
         if second == 0:
             raise DegenerateSampleError("success count is zero")
         if second > first:
             raise ValueError("successes cannot exceed the trial count")
-        estimate = first / second
-        reference = CONSTANTS.e if variant == "e" else reference_zeta(m)
-        low, high = wilson_ci(second, first, Z_95)
-        trials_used, success = first, second
-        stderr = ratio_stderr(second, first)
-        ci = (1.0 / high, 1.0 / low)
         echo = {"counts": [first, second]}
         if variant == "zeta":
             echo["m"] = m
+        reference = CONSTANTS.e if variant == "e" else reference_zeta(m)
+        record = _ratio_record(variant, first, second, reference, None, echo)
 
-    reported_estimate = f"{estimate:.{decimals}f}"
-    error_basis = float(reported_estimate) if error_from_reported else estimate
-    echo["reported_estimate"] = reported_estimate
-    echo["reported_error_pct"] = f"{relative_error(error_basis, reference):#.3g}"
-    return EstimateRecord(
-        variant=variant,
-        estimate=estimate,
-        trials_used=trials_used,
-        success_count=success,
-        stderr=stderr,
-        ci_low=ci[0],
-        ci_high=ci[1],
-        reference=reference,
-        relative_error_percent=relative_error(estimate, reference),
-        seed=None,
-        params=echo,
-    )
+    reported_estimate = f"{record.estimate:.{decimals}f}"
+    error_basis = float(reported_estimate) if error_from_reported else record.estimate
+    record.params["reported_estimate"] = reported_estimate
+    record.params["reported_error_pct"] = f"{relative_error(error_basis, record.reference):#.3g}"
+    return record
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,10 @@ class RngStream:
         _check_probability(p)
         if p == 1.0:
             return np.ones(shape, dtype=np.int64)
+        # The largest uniform, 1 - 2^-53, gives the longest wait, computed as
+        # below; from 2^63 on the int64 cast would wrap instead of failing.
+        if np.floor(np.log1p(-(1.0 - 2.0 ** -53)) / math.log1p(-p)) >= 2.0 ** 63:
+            raise ValueError("p is too small: a geometric draw could exceed the int64 range")
         # max(1 + floor(log1p(-u) / log1p(-p)), 1): the same ufuncs in the
         # same order, in place, so only two arrays are allocated
         u = self._generator.random(shape)

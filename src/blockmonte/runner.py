@@ -22,6 +22,7 @@ from .estimators import (
     ExperimentConfig,
     EstimateRecord,
     collect_pi_outcomes,
+    resolve_params,
     run_config,
 )
 from .geometry import CircleRaster, rasterize_circle
@@ -36,6 +37,10 @@ REPORT_COLUMNS = ("run_id", "variant", "seed", "trials", "success_count",
                   "rel_error_pct", "params", "wall_ms")
 
 SCATTER_DOT_LIMIT = 10_000
+
+# The scatter plot draws one <rect> per outline cell, about 5.65 per unit of
+# radius: about 23k rects at this radius, and an unbounded file beyond it.
+SCATTER_RADIUS_LIMIT = 4096
 
 
 @dataclass
@@ -58,6 +63,13 @@ class RunManifest:
         if self.workers < 1:
             raise ValueError("invalid value for 'workers': must be >= 1")
         self.output_dir = Path(self.output_dir)
+        if "svg" in self.formats:
+            for config in self.configs:
+                if (config.variant == "pi" and "counts" not in config.variant_params
+                        and resolve_params("pi", config.variant_params)["radius"]
+                        > SCATTER_RADIUS_LIMIT):
+                    raise ValueError(f"invalid value for 'radius': svg scatter plots "
+                                     f"take radii up to {SCATTER_RADIUS_LIMIT}")
 
 
 def load_manifest(path, default_seed: int = 0) -> RunManifest:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import blockmonte
-from blockmonte import cli
+from blockmonte import cli, runner
 from blockmonte.estimators import ExperimentConfig, run_config
 from blockmonte.geometry import GridCell, rasterize_circle
 from blockmonte.runner import (
@@ -276,6 +276,11 @@ class TestCommandLine:
         (["pi", "--param", "sampler_mode=slime_walk", "--param", "kill_probability=1e-4"],
          "kill_probability"),
         (["pi", "--param", "radius=1073741825"], "radius"),
+        (["zeta", "--param", "sampler_mode=random_tick", "--param", "growth_prob=1e-300"],
+         "growth_prob"),
+        (["zeta", "--param", "sampler_mode=random_tick", "--param", "speed_multiplier=2000"],
+         "speed_multiplier"),
+        (["integral", "--param", "raster_mode=rasterized", "--param", "b=1000000000"], "b"),
     ])
     def test_bad_param_exits_two_and_names_field(self, capsys, argv, field):
         assert cli.main(["estimate", *argv, "--trials", "100"]) == 2
@@ -286,6 +291,16 @@ class TestCommandLine:
                          "--out", str(tmp_path), "--format", "jsonl,svg"])
         assert code == 0
         assert [path.name for path in tmp_path.iterdir()] == ["pi.jsonl"]
+
+    def test_svg_past_the_scatter_radius_limit_exits_two_before_sampling(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "run_config", None)  # any trial would fail loudly
+        code = cli.main(["estimate", "pi", "--trials", "100", "--out", str(tmp_path),
+                         "--param", f"radius={runner.SCATTER_RADIUS_LIMIT + 1}",
+                         "--param", "raster_mode=raster", "--format", "jsonl,svg"])
+        assert code == 2
+        assert "'radius'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_degenerate_exits_one(self, capsys):
         code = cli.main(["estimate", "sqrt2", "--param", "leg_blocks=1",

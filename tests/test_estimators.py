@@ -95,6 +95,9 @@ class TestConfigValidation:
         ("zeta", {"m": 65}, "m"),
         ("pi", {"sampler_mode": "slime_walk", "kill_probability": 1e-4}, "kill_probability"),
         ("pi", {"radius": 2 ** 30 + 1}, "radius"),
+        ("zeta", {"sampler_mode": "random_tick", "growth_prob": 1e-300}, "growth_prob"),
+        ("zeta", {"sampler_mode": "random_tick", "speed_multiplier": 2000}, "speed_multiplier"),
+        ("integral", {"raster_mode": "rasterized", "b": 10 ** 9}, "b"),
     ])
     def test_bad_value_names_its_field(self, variant, params, field):
         with pytest.raises(ValueError, match=f"'{field}'"):
@@ -143,6 +146,29 @@ class TestFromCounts:
     def test_inside_exceeding_total_rejected(self):
         with pytest.raises(ValueError):
             estimate_from_counts("pi", (700, 619))
+
+    @pytest.mark.parametrize("variant, params", [
+        ("sqrt2", {}),
+        ("sqrt2", {"random_start_phase": True}),
+        ("pi", {}),
+        ("pi", {"raster_mode": "raster", "sampler_mode": "slime_walk", "radius": 6}),
+        ("e", {}),
+        ("e", {"permutation_size": 4}),
+        ("zeta", {"m": 2}),
+        ("zeta", {"m": 3, "sampler_mode": "random_tick"}),
+    ])
+    def test_replay_of_a_sampled_records_counts_is_float_identical(self, variant, params):
+        sampled = run_config(config(variant, seed=29, trials=3000, **params))
+        if variant == "sqrt2":
+            counts = (sampled.params["hyp_items"], sampled.params["leg_items"])
+        elif variant == "pi":
+            counts = (sampled.success_count, sampled.trials_used)
+        else:
+            counts = (sampled.trials_used, sampled.success_count)
+        replayed = estimate_from_counts(variant, counts, m=params.get("m", 3))
+        fields = ("estimate", "trials_used", "success_count", "stderr", "ci_low", "ci_high",
+                  "reference", "relative_error_percent")
+        assert [getattr(replayed, f) for f in fields] == [getattr(sampled, f) for f in fields]
 
     def test_counts_mode_via_run_config(self):
         record = run_config(config("zeta", trials=1, counts="70,58", m="3"))

@@ -123,6 +123,13 @@ class TestGeometricTrials:
         assert block.dtype == np.int64
         assert np.array_equal(block, expected)
 
+    def test_block_refuses_a_wait_past_int64(self):
+        # the longest wait is about 36.74 / p: below p ~ 3.99e-18 it passes 2^63
+        assert stream().geometric_block(4e-18, 1000).min() >= 1
+        for p in (3.98e-18, 1e-300):
+            with pytest.raises(ValueError, match="int64"):
+                stream().geometric_block(p, 10)
+
     def test_scalar_and_block_agree_in_distribution(self):
         scalar = stream(seed=3, label="geo-sb")
         values = [geometric_trials(scalar, 0.2) for _ in range(20000)]
