@@ -130,11 +130,7 @@ def _cmd_estimate(args) -> int:
         records = run_experiment(manifest)
     else:
         records = [run_config(config, workers=args.workers)]
-    elapsed_ms = 1000 * (time.perf_counter() - started)
-    for record in records:
-        print(json.dumps(report_row(run_id, record)))
-    print(f"{run_id}: {len(records)} record(s) in {elapsed_ms:.0f} ms", file=sys.stderr)
-    return 1 if any(record.estimate is None for record in records) else 0
+    return _print_records(run_id, records, started)
 
 
 def _cmd_run(args) -> int:
@@ -143,11 +139,15 @@ def _cmd_run(args) -> int:
         manifest.workers = args.workers
     started = time.perf_counter()
     records = run_experiment(manifest)
+    return _print_records(manifest.run_id, records, started, f" -> {manifest.output_dir}")
+
+
+def _print_records(run_id: str, records: list, started: float, where: str = "") -> int:
+    """Print the report rows and the elapsed time (stderr); 1 if any record failed."""
     elapsed_ms = 1000 * (time.perf_counter() - started)
     for record in records:
-        print(json.dumps(report_row(manifest.run_id, record)))
-    print(f"{manifest.run_id}: {len(records)} record(s) in {elapsed_ms:.0f} ms "
-          f"-> {manifest.output_dir}", file=sys.stderr)
+        print(json.dumps(report_row(run_id, record)))
+    print(f"{run_id}: {len(records)} record(s) in {elapsed_ms:.0f} ms{where}", file=sys.stderr)
     return 1 if any(record.estimate is None for record in records) else 0
 
 

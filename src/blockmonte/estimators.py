@@ -44,8 +44,6 @@ from .numtheory import ZETA_EVEN_PI_COEFFICIENT, zeta_value
 from .rng import StreamId, derive_stream
 from .stats import CONSTANTS, ratio_stderr, relative_error, wilson_ci
 
-VARIANTS = ("sqrt2", "pi", "e", "zeta", "sec_tan", "integral")
-
 # Trials per random stream; one stream per block keeps results independent
 # of worker scheduling while still letting numpy do the sampling in bulk.
 BLOCK_TRIALS = 1 << 16
@@ -151,7 +149,7 @@ def _quotient_record(hyp_items: int, leg_items: int, seed: int | None,
 
 
 # ---------------------------------------------------------------------------
-# parameter table
+# parameter tables
 
 
 @dataclass(frozen=True)
@@ -222,77 +220,23 @@ class Param:
         return value
 
 
-_COUNTS_PARAMS = {
-    "counts": Param("pair", minimum=0, item="int"),
-    "reported_decimals": Param("int", minimum=0),  # default: the variant's own style
-}
-
-# Per variant, in params-echo order.  "<variant>/counts" tables apply when a
-# config replays recorded counts instead of sampling.
-PARAMS: dict[str, dict[str, Param]] = {
-    "sqrt2": {
-        "leg_blocks": Param("int", 100, minimum=1),
-        "speed": Param("float", 4.317, above=0),
-        "period": Param("float", 0.4, above=0),
-        "random_start_phase": Param("bool", False),
-    },
-    "pi": {
-        # Beyond 2^30 the int64 disc test x^2 + z^2 <= r^2 could overflow.
-        "radius": Param("int", 50, minimum=1, maximum=2 ** 30),
-        "sampler_mode": Param("choice", "uniform_ideal",
-                              choices=("uniform_ideal", "slime_walk", "slime_walk_drift")),
-        "raster_mode": Param("choice", "exact_disc", choices=("raster", "exact_disc")),
-        "step_cells": Param("float", 0.8, above=0),
-        "turn_probability": Param("float", 0.2, minimum=0, maximum=1),
-        # A walk makes about 1/kill_probability moves, so its time grows
-        # without bound as the probability nears 0: at 1e-3 a 65,536-walker
-        # block takes seconds, at 1e-9 a run would take days.
-        "kill_probability": Param("float", 0.05, minimum=1e-3, maximum=1),
-        "drift": Param("pair", (0.0, 0.0)),  # slime_walk_drift: (0.3, -0.3)
-    },
-    "e": {
-        "permutation_size": Param("int", 9, minimum=2, maximum=9),
-    },
-    "zeta": {
-        # Each block draws a (65,536 x m) int64 array plus a +1 copy, about
-        # 1 MB per unit of m and worker; and from m = 54 on zeta(m) is 1.0 in
-        # double precision, so a larger m adds memory and nothing to measure.
-        "m": Param("int", 3, minimum=2, maximum=64),
-        "sampler_mode": Param("choice", "uniform", choices=("uniform", "random_tick")),
-        "value_bound": Param("int", 10 ** 6, minimum=2, maximum=2 ** 63 - 1),
-        # A tick-and-grow chance p below about 4e-18 lets a geometric wait
-        # pass 2^63; the least selection probability (speed_multiplier 1) is
-        # 7.3e-4, so this minimum keeps p above 7.3e-18.
-        "growth_prob": Param("float", 1.0 / 3.0, minimum=1e-14, maximum=1),
-        # 3 picks per tick times this cannot exceed the 16^3-cell cube.
-        "speed_multiplier": Param("int", 64, minimum=1, maximum=4096 // 3),
-    },
-    "sec_tan": {
-        "max_size": Param("int", 9, minimum=0, maximum=9),
-    },
-    "integral": {
-        "function_spec": Param("str", "x**2*sin(x) + cbrt(x)"),
-        "a": Param("int", 0),
-        "b": Param("int", 8),
-        "raster_mode": Param("choice", "continuous", choices=("continuous", "rasterized")),
-    },
-    "sqrt2/counts": _COUNTS_PARAMS,
-    "pi/counts": _COUNTS_PARAMS,
-    "e/counts": _COUNTS_PARAMS,
-    "zeta/counts": {**_COUNTS_PARAMS, "m": Param("int", 3, minimum=2)},
-}
-
-
 def resolve_params(variant: str, raw: dict) -> dict:
-    """Coerce ``raw`` against ``PARAMS[variant]``, defaults filling the rest.
+    """Coerce ``raw`` against ``VARIANTS[variant].params``, defaults filling
+    the rest, then run the variant's cross-field check.
 
     Returns the params echo: table order, pairs as lists.  Unknown keys and
     bad values raise ValueError naming the field.
     """
-    if variant not in PARAMS:
+    if variant not in VARIANTS:
         raise ValueError(f"invalid value for 'variant': {variant!r} "
-                         f"(expected one of {', '.join(PARAMS)})")
-    table = PARAMS[variant]
+                         f"(expected one of {', '.join(VARIANTS)})")
+    entry = VARIANTS[variant]
+    params = _coerce_table(variant, entry.params, raw)
+    entry.check(params, raw)
+    return params
+
+
+def _coerce_table(variant: str, table: dict[str, Param], raw: dict) -> dict:
     for key in raw:
         if key not in table:
             raise ValueError(f"unknown parameter '{key}' for variant '{variant}'")
@@ -300,25 +244,20 @@ def resolve_params(variant: str, raw: dict) -> dict:
     for name, entry in table.items():
         value = entry.coerce(name, raw[name]) if name in raw else entry.default
         params[name] = list(value) if isinstance(value, tuple) else value
-    if variant == "pi":
-        if params["sampler_mode"] == "slime_walk_drift":
-            if "drift" not in raw:
-                params["drift"] = [0.3, -0.3]
-        elif params["drift"] != [0.0, 0.0]:
-            raise ValueError("invalid value for 'drift': only slime_walk_drift accepts a bias")
-    if variant == "sqrt2":
-        _check_hopper_windows(params)
-    if variant == "integral":
-        if not params["a"] < params["b"]:
-            raise ValueError("invalid value for 'b': bounds must satisfy a < b")
-        if (params["raster_mode"] == "rasterized"
-                and params["b"] - params["a"] > MAX_RASTER_COLUMNS):
-            raise ValueError(f"invalid value for 'b': rasterized mode takes at most "
-                             f"{MAX_RASTER_COLUMNS} columns (b - a)")
     return params
 
 
-def _check_hopper_windows(params: dict) -> None:
+def _check_pi(params: dict, raw: dict) -> None:
+    """slime_walk_drift defaults its drift to (0.3, -0.3); no other sampler
+    takes one."""
+    if params["sampler_mode"] == "slime_walk_drift":
+        if "drift" not in raw:
+            params["drift"] = [0.3, -0.3]
+    elif params["drift"] != [0.0, 0.0]:
+        raise ValueError("invalid value for 'drift': only slime_walk_drift accepts a bias")
+
+
+def _check_hopper_windows(params: dict, raw: dict) -> None:
     """Reject a sqrt2 course whose hypotenuse window, plus the start phase
     of up to one period, reaches HOPPER_MAX_PERIODS timer periods."""
     period = params["period"]
@@ -331,19 +270,17 @@ def _check_hopper_windows(params: dict) -> None:
                          "timer periods at this speed")
 
 
+def _check_integral(params: dict, raw: dict) -> None:
+    if not params["a"] < params["b"]:
+        raise ValueError("invalid value for 'b': bounds must satisfy a < b")
+    if (params["raster_mode"] == "rasterized"
+            and params["b"] - params["a"] > MAX_RASTER_COLUMNS):
+        raise ValueError(f"invalid value for 'b': rasterized mode takes at most "
+                         f"{MAX_RASTER_COLUMNS} columns (b - a)")
+
+
 # ---------------------------------------------------------------------------
 # block execution
-
-
-def _block_plan(trials: int) -> list[tuple[int, int]]:
-    plan = []
-    index, remaining = 0, trials
-    while remaining > 0:
-        take = min(BLOCK_TRIALS, remaining)
-        plan.append((index, take))
-        index += 1
-        remaining -= take
-    return plan
 
 
 def _map_blocks(seed: int, jobs: list[tuple[str, int, Callable]], workers: int = 1) -> list:
@@ -354,9 +291,9 @@ def _map_blocks(seed: int, jobs: list[tuple[str, int, Callable]], workers: int =
     adds the block results in block order.  The pool never has more threads
     than cores or blocks, whatever ``workers`` asks for.
     """
-    plan = [(job, index, count)
+    plan = [(job, start // BLOCK_TRIALS, min(BLOCK_TRIALS, trials - start))
             for job, (_, trials, _) in enumerate(jobs)
-            for index, count in _block_plan(trials)]
+            for start in range(0, trials, BLOCK_TRIALS)]
 
     def run_one(item):
         job, index, count = item
@@ -784,15 +721,50 @@ def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord
 # count-only replay
 
 
-# Display precision used when the source counts were first reported, and
-# whether that report quoted its error from the already-rounded estimate
-# (sqrt2 and e did; pi and zeta quoted the error of the full ratio).
-_REPORTED_STYLE = {
-    "sqrt2": (4, True),
-    "pi": (3, False),
-    "e": (5, True),
-    "zeta": (4, False),
+_REPLAY_PARAMS = {
+    "counts": Param("pair", minimum=0, item="int"),
+    "reported_decimals": Param("int", minimum=0),  # default: the variant's own style
 }
+
+
+@dataclass(frozen=True)
+class Replay:
+    """Count-only replay of one variant.  ``decimals`` is the display
+    precision the counts were first reported with; ``error_from_reported``
+    says whether that report quoted its error from the already-rounded
+    estimate (sqrt2 and e did; pi and zeta quoted the error of the full
+    ratio).  ``record(first, second, params)`` checks the counts and builds
+    the record."""
+
+    decimals: int
+    error_from_reported: bool
+    record: Callable
+    params: dict
+
+
+def _replay_sqrt2(hyp_items: int, leg_items: int, params: dict) -> EstimateRecord:
+    if leg_items == 0:
+        raise DegenerateSampleError("leg item count is zero")
+    return _quotient_record(hyp_items, leg_items, None,
+                            {**params, "hyp_items": hyp_items, "leg_items": leg_items})
+
+
+def _replay_pi(inside: int, total: int, params: dict) -> EstimateRecord:
+    if total == 0:
+        raise DegenerateSampleError("total count is zero")
+    if inside > total:
+        raise ValueError("inside count cannot exceed the total")
+    return _pi_record(inside, total, None, {**params, "inside": inside, "total": total})
+
+
+def _replay_ratio(variant: str, trials: int, successes: int, reference: float,
+                  params: dict) -> EstimateRecord:
+    """e and zeta share the (trials, successes) shape."""
+    if successes == 0:
+        raise DegenerateSampleError("success count is zero")
+    if successes > trials:
+        raise ValueError("successes cannot exceed the trial count")
+    return _ratio_record(variant, trials, successes, reference, None, params)
 
 
 def estimate_from_counts(variant: str, counts: tuple[int, int], *, m: int = 3,
@@ -800,63 +772,109 @@ def estimate_from_counts(variant: str, counts: tuple[int, int], *, m: int = 3,
     """Pure arithmetic replay of a recorded (numerator, denominator) tally.
 
     Count order per variant: sqrt2 (hyp_items, leg_items); pi (inside,
-    total); e (permutations, derangements); zeta (tuples, coprime).  The
-    record's estimate and relative_error_percent are full precision; the
-    params carry ``reported_estimate``/``reported_error_pct`` strings
-    rendered with each experiment's original display convention.
+    total); e (permutations, derangements); zeta (tuples, coprime).  ``m``
+    is zeta's; the other variants ignore it.  The record's estimate and
+    relative_error_percent are full precision; the params carry
+    ``reported_estimate``/``reported_error_pct`` strings rendered with each
+    experiment's original display convention.
     """
-    if variant not in _REPORTED_STYLE:
-        raise ValueError(f"invalid value for 'variant': counts replay supports "
-                         f"{', '.join(_REPORTED_STYLE)}")
-    first, second = (int(c) for c in counts)
-    if first < 0 or second < 0:
-        raise ValueError("counts must be non-negative")
-    decimals, error_from_reported = _REPORTED_STYLE[variant]
-    if reported_decimals is not None:
-        decimals = int(reported_decimals)
+    return _replay(variant, {"counts": counts, "reported_decimals": reported_decimals, "m": m},
+                   direct=True)
 
-    if variant == "sqrt2":
-        if second == 0:
-            raise DegenerateSampleError("leg item count is zero")
-        record = _quotient_record(first, second, None, {
-            "counts": [first, second], "hyp_items": first, "leg_items": second})
-    elif variant == "pi":
-        if second == 0:
-            raise DegenerateSampleError("total count is zero")
-        if first > second:
-            raise ValueError("inside count cannot exceed the total")
-        record = _pi_record(first, second, None, {
-            "counts": [first, second], "inside": first, "total": second})
-    else:  # e and zeta share the trials/successes shape
-        if second == 0:
-            raise DegenerateSampleError("success count is zero")
-        if second > first:
-            raise ValueError("successes cannot exceed the trial count")
-        echo = {"counts": [first, second]}
-        if variant == "zeta":
-            echo["m"] = m
-        reference = CONSTANTS.e if variant == "e" else reference_zeta(m)
-        record = _ratio_record(variant, first, second, reference, None, echo)
 
-    reported_estimate = f"{record.estimate:.{decimals}f}"
-    error_basis = float(reported_estimate) if error_from_reported else record.estimate
+def _replay(variant: str, raw: dict, direct: bool = False) -> EstimateRecord:
+    """Replay the counts in ``raw``, coerced through the variant's replay
+    table.  In a ``direct`` call m is zeta's, and None means the default."""
+    replay = VARIANTS[variant].replay if variant in VARIANTS else None
+    if replay is None:
+        raise ValueError("invalid value for 'variant': counts replay supports " + ", ".join(
+            name for name, entry in VARIANTS.items() if entry.replay is not None))
+    if direct:
+        raw = {key: value for key, value in raw.items()
+               if value is not None and key in replay.params}
+    params = _coerce_table(variant, replay.params, raw)
+    decimals = params.pop("reported_decimals")
+    record = replay.record(*params["counts"], params)
+    reported_estimate = f"{record.estimate:.{replay.decimals if decimals is None else decimals}f}"
+    error_basis = float(reported_estimate) if replay.error_from_reported else record.estimate
     record.params["reported_estimate"] = reported_estimate
     record.params["reported_error_pct"] = f"{relative_error(error_basis, record.reference):#.3g}"
     return record
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the variant registry
 
 
-_ESTIMATORS = {
-    "sqrt2": estimate_sqrt2,
-    "pi": estimate_pi,
-    "e": estimate_e,
-    "zeta": estimate_zeta,
-    "sec_tan": estimate_sec_tan,
-    "integral": estimate_integral,
+@dataclass(frozen=True)
+class Variant:
+    """One variant: ``sample(config, workers=1)`` runs it; ``params`` is its
+    parameter table, in params-echo order; ``check(params, raw)`` runs
+    after coercion, rejects what no single field can and may fill a default
+    that depends on another field; ``replay`` is None if its counts cannot
+    be replayed."""
+
+    sample: Callable
+    params: dict[str, Param]
+    check: Callable[[dict, dict], None] = lambda params, raw: None
+    replay: Replay | None = None
+
+
+VARIANTS: dict[str, Variant] = {
+    "sqrt2": Variant(estimate_sqrt2, {
+        "leg_blocks": Param("int", 100, minimum=1),
+        "speed": Param("float", 4.317, above=0),
+        "period": Param("float", 0.4, above=0),
+        "random_start_phase": Param("bool", False),
+    }, _check_hopper_windows, Replay(4, True, _replay_sqrt2, _REPLAY_PARAMS)),
+    "pi": Variant(estimate_pi, {
+        # Beyond 2^30 the int64 disc test x^2 + z^2 <= r^2 could overflow.
+        "radius": Param("int", 50, minimum=1, maximum=2 ** 30),
+        "sampler_mode": Param("choice", "uniform_ideal",
+                              choices=("uniform_ideal", "slime_walk", "slime_walk_drift")),
+        "raster_mode": Param("choice", "exact_disc", choices=("raster", "exact_disc")),
+        "step_cells": Param("float", 0.8, above=0),
+        "turn_probability": Param("float", 0.2, minimum=0, maximum=1),
+        # A walk makes about 1/kill_probability moves, so its time grows
+        # without bound as the probability nears 0: at 1e-3 a 65,536-walker
+        # block takes seconds, at 1e-9 a run would take days.
+        "kill_probability": Param("float", 0.05, minimum=1e-3, maximum=1),
+        "drift": Param("pair", (0.0, 0.0)),  # slime_walk_drift: (0.3, -0.3)
+    }, _check_pi, Replay(3, False, _replay_pi, _REPLAY_PARAMS)),
+    "e": Variant(estimate_e, {
+        "permutation_size": Param("int", 9, minimum=2, maximum=9),
+    }, replay=Replay(5, True, lambda trials, derangements, params: _replay_ratio(
+        "e", trials, derangements, CONSTANTS.e, params), _REPLAY_PARAMS)),
+    "zeta": Variant(estimate_zeta, {
+        # Each block draws a (65,536 x m) int64 array plus a +1 copy, about
+        # 1 MB per unit of m and worker; and from m = 54 on zeta(m) is 1.0 in
+        # double precision, so a larger m adds memory and nothing to measure.
+        "m": Param("int", 3, minimum=2, maximum=64),
+        "sampler_mode": Param("choice", "uniform", choices=("uniform", "random_tick")),
+        "value_bound": Param("int", 10 ** 6, minimum=2, maximum=2 ** 63 - 1),
+        # A tick-and-grow chance p below about 4e-18 lets a geometric wait
+        # pass 2^63; the least selection probability (speed_multiplier 1) is
+        # 7.3e-4, so this minimum keeps p above 7.3e-18.
+        "growth_prob": Param("float", 1.0 / 3.0, minimum=1e-14, maximum=1),
+        # 3 picks per tick times this cannot exceed the 16^3-cell cube.
+        "speed_multiplier": Param("int", 64, minimum=1, maximum=4096 // 3),
+    }, replay=Replay(4, False, lambda trials, coprime, params: _replay_ratio(
+        "zeta", trials, coprime, reference_zeta(params["m"]), params),
+        {**_REPLAY_PARAMS, "m": Param("int", 3, minimum=2)})),
+    "sec_tan": Variant(estimate_sec_tan, {
+        "max_size": Param("int", 9, minimum=0, maximum=9),
+    }),
+    "integral": Variant(estimate_integral, {
+        "function_spec": Param("str", "x**2*sin(x) + cbrt(x)"),
+        "a": Param("int", 0),
+        "b": Param("int", 8),
+        "raster_mode": Param("choice", "continuous", choices=("continuous", "rasterized")),
+    }, _check_integral),
 }
+
+# run_config dispatches through this dict at call time, so a wrapper put
+# in it (a tracer, a test double) sees every sampled run.
+_ESTIMATORS = {name: variant.sample for name, variant in VARIANTS.items()}
 
 
 def run_config(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
@@ -864,7 +882,5 @@ def run_config(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     if workers < 1:
         raise ValueError("invalid value for 'workers': must be >= 1")
     if "counts" in config.variant_params:
-        params = resolve_params(f"{config.variant}/counts", config.variant_params)
-        return estimate_from_counts(config.variant, params["counts"], m=params.get("m", 3),
-                                    reported_decimals=params["reported_decimals"])
+        return _replay(config.variant, config.variant_params)
     return _ESTIMATORS[config.variant](config, workers=workers)

@@ -134,11 +134,6 @@ class CurveRaster:
     x_stop: int
     heights: tuple[int, ...]
 
-    def height_at(self, x: int) -> int:
-        if not self.x_start <= x < self.x_stop:
-            raise ValueError(f"column {x} outside [{self.x_start}, {self.x_stop})")
-        return self.heights[x - self.x_start]
-
     def cells(self) -> tuple[GridCell, ...]:
         return tuple(GridCell(x, h)
                      for x, h in zip(range(self.x_start, self.x_stop), self.heights))

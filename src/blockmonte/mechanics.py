@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import Permutation, permutation_table
+from .combinatorics import Permutation
 from .geometry import GridCell
 from .rng import RngStream, geometric_trials
 
@@ -104,13 +104,6 @@ def dropper_rank_block(dropper: Dropper, stream: RngStream, count: int) -> np.nd
     ``combinatorics.derangement_flags``) without building the rows.
     """
     return stream.int_below_block(math.factorial(dropper.slot_count), count)
-
-
-def dropper_permutation_block(dropper: Dropper, stream: RngStream, count: int) -> np.ndarray:
-    """(count, slot_count) array; each row an independent uniform permutation
-    of 1..slot_count, the unranked form of ``dropper_rank_block``'s draws."""
-    ranks = dropper_rank_block(dropper, stream, count)
-    return permutation_table(dropper.slot_count)[ranks].astype(np.int64) + 1
 
 
 @dataclass(frozen=True)

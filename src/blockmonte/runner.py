@@ -163,15 +163,6 @@ def report_row(run_id: str, record: EstimateRecord) -> dict:
     }
 
 
-def record_from_row(row: dict) -> EstimateRecord:
-    return EstimateRecord(
-        variant=row["variant"], estimate=row["estimate"], trials_used=row["trials"],
-        success_count=row["success_count"], stderr=row["stderr"],
-        ci_low=row["ci_low"], ci_high=row["ci_high"], reference=row["reference"],
-        relative_error_percent=row["rel_error_pct"], seed=row["seed"],
-        params=row["params"])
-
-
 def write_reports(manifest: RunManifest, records: list[EstimateRecord]) -> list[Path]:
     manifest.output_dir.mkdir(parents=True, exist_ok=True)
     rows = [report_row(manifest.run_id, record) for record in records]
@@ -196,9 +187,8 @@ def write_reports(manifest: RunManifest, records: list[EstimateRecord]) -> list[
                     or "counts" in config.variant_params):
                 continue
             path = manifest.output_dir / f"{manifest.run_id}_{index:02d}_pi.svg"
-            radius = int(record.params.get("radius", 50))
             xs, zs = collect_pi_outcomes(config, SCATTER_DOT_LIMIT)
-            emit_scatter(xs, zs, rasterize_circle(radius), path)
+            emit_scatter(xs, zs, rasterize_circle(record.params["radius"]), path)
             written.append(path)
     return written
 

@@ -17,7 +17,6 @@ from blockmonte.runner import (
     RunManifest,
     emit_scatter,
     load_manifest,
-    record_from_row,
     report_row,
     run_experiment,
 )
@@ -95,7 +94,7 @@ class TestReports:
         for line, record in zip(lines, records):
             row = json.loads(line)
             assert row["wall_ms"] is None
-            assert record_from_row(row) == record
+            assert row == report_row("demo", record)
 
     def test_csv_and_jsonl_numbers_agree_at_six_digits(self, tmp_path):
         out, _ = self.run_demo(tmp_path, "agree")
@@ -375,7 +374,7 @@ class TestCommandLine:
 
 def test_report_row_round_trip_without_files():
     record = run_config(ExperimentConfig(variant="e", master_seed=2, trials=5000))
-    assert record_from_row(json.loads(json.dumps(report_row("x", record)))) == record
+    assert json.loads(json.dumps(report_row("x", record))) == report_row("x", record)
 
 
 # Runs each CLI call in one fresh interpreter, then lists every scipy module

@@ -1,12 +1,14 @@
+import argparse
 import math
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blockmonte import estimators
+from blockmonte import cli, estimators
 from blockmonte.combinatorics import derangement_count, zigzag_count
 from blockmonte.errors import DegenerateCourseError, DegenerateSampleError
 from blockmonte.estimators import (
@@ -23,7 +25,7 @@ from blockmonte.estimators import (
     run_config,
 )
 from blockmonte.geometry import GridCell
-from blockmonte.mechanics import Dropper, dropper_permutation_block
+from blockmonte.mechanics import Dropper, dropper_rank_block
 from blockmonte.numtheory import coprime_probability_exact
 from blockmonte.rng import StreamId, derive_stream
 from blockmonte.stats import CONSTANTS
@@ -98,15 +100,58 @@ class TestConfigValidation:
         ("zeta", {"sampler_mode": "random_tick", "growth_prob": 1e-300}, "growth_prob"),
         ("zeta", {"sampler_mode": "random_tick", "speed_multiplier": 2000}, "speed_multiplier"),
         ("integral", {"raster_mode": "rasterized", "b": 10 ** 9}, "b"),
+        ("e", {"counts": (10.7, 5)}, "counts"),
+        ("e", {"counts": (True, True)}, "counts"),
+        ("pi", {"counts": (508, 619), "reported_decimals": -1}, "reported_decimals"),
     ])
     def test_bad_value_names_its_field(self, variant, params, field):
         with pytest.raises(ValueError, match=f"'{field}'"):
             run_config(config(variant, trials=100, **params))
+        if "counts" in params and field != "m":
+            # A direct replay coerces through the same table; its m is
+            # zeta's, so only the config path rejects an m for e.
+            with pytest.raises(ValueError, match=f"'{field}'"):
+                estimate_from_counts(variant, **params)
 
     def test_string_params_are_coerced(self):
         record = estimate_pi(config("pi", trials=1000, radius="11",
                                     raster_mode="raster", sampler_mode="uniform_ideal"))
         assert record.params["radius"] == 11
+
+
+class TestRegistry:
+    def test_dispatch_replay_and_cli_read_the_registry(self):
+        assert set(estimators._ESTIMATORS) == set(estimators.VARIANTS)
+        for name, variant in estimators.VARIANTS.items():
+            assert estimators._ESTIMATORS[name] is variant.sample
+        replayable = {name for name, variant in estimators.VARIANTS.items() if variant.replay}
+        assert replayable == {"sqrt2", "pi", "e", "zeta"}
+        [commands] = [action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        [choice] = [action for action in commands.choices["estimate"]._actions
+                    if action.dest == "variant"]
+        assert list(choice.choices) == list(estimators.VARIANTS)
+
+    def test_readme_parameter_table_matches_the_registry(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## Parameters\n", 1)[1].split("\n## ", 1)[0]
+        table = section.split("\n\n| variant |", 1)[1].split("\n\n", 1)[0]
+        rows, variant = [], None
+        for line in table.splitlines()[2:]:
+            cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            variant = cells[0] or variant
+            rows.append((variant, *cells[1:4]))
+        expected = [(variant, key) for variant, entry in estimators.VARIANTS.items()
+                    for key in entry.params]
+        assert [row[:2] for row in rows] == expected
+        for variant, key, kind, default in rows:
+            param = estimators.VARIANTS[variant].params[key]
+            assert kind == (f"pair of {param.item}s" if param.kind == "pair" else param.kind)
+            default = default.split(" (")[0]
+            if param.kind == "float":
+                assert float(Fraction(default)) == param.default, key
+            else:
+                assert param.coerce(key, default) == param.default, key
 
 
 class TestFromCounts:
@@ -169,6 +214,14 @@ class TestFromCounts:
         fields = ("estimate", "trials_used", "success_count", "stderr", "ci_low", "ci_high",
                   "reference", "relative_error_percent")
         assert [getattr(replayed, f) for f in fields] == [getattr(sampled, f) for f in fields]
+
+    @pytest.mark.parametrize("variant", ["sec_tan", "integral"])
+    def test_unreplayable_variant_gives_one_message(self, variant):
+        message = "counts replay supports sqrt2, pi, e, zeta$"
+        with pytest.raises(ValueError, match=message):
+            run_config(config(variant, counts="70,58"))
+        with pytest.raises(ValueError, match=message):
+            estimate_from_counts(variant, (70, 58))
 
     def test_counts_mode_via_run_config(self):
         record = run_config(config("zeta", trials=1, counts="70,58", m="3"))
@@ -293,8 +346,7 @@ class TestE:
     def test_degenerate_when_no_derangements(self):
         seed = next(
             s for s in range(100)
-            if dropper_permutation_block(
-                Dropper(2), derive_stream(s, StreamId("e", 0)), 1)[0].tolist() == [1, 2])
+            if dropper_rank_block(Dropper(2), derive_stream(s, StreamId("e", 0)), 1)[0] == 0)
         with pytest.raises(DegenerateSampleError):
             estimate_e(ExperimentConfig(variant="e", master_seed=seed, trials=1,
                                         variant_params={"permutation_size": 2}))

@@ -184,7 +184,7 @@ class TestCurveRaster:
         for x in range(0, 8):
             value = f(x + 0.5)
             expected = math.floor(value + 0.5) if value >= 0 else math.ceil(value - 0.5)
-            assert raster.height_at(x) == expected
+            assert raster.heights[x - raster.x_start] == expected
 
     def test_one_cell_per_column(self):
         raster = rasterize_curve(lambda x: math.sin(x), -3, 7)
