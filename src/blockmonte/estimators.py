@@ -149,7 +149,7 @@ def _quotient_record(hyp_items: int, leg_items: int, seed: int | None,
 
 
 # ---------------------------------------------------------------------------
-# parameter tables
+# parameter table
 
 
 @dataclass(frozen=True)
