@@ -19,7 +19,7 @@ from .errors import DegenerateResultError
 from .estimators import VARIANTS, ExperimentConfig, run_config
 from .geometry import archimedes_bounds, raster_to_text, rasterize_circle
 from .numtheory import coprime_probability_exact, euler_product_partial, zeta_partial
-from .runner import RunManifest, load_manifest, report_row, run_experiment
+from .runner import RunManifest, load_manifest, parse_formats, report_row, run_experiment
 
 SEED_ENV_VAR = "BLOCKMONTE_SEED"
 
@@ -39,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="variant parameter, repeatable")
     estimate.add_argument("--out", default=None, metavar="DIR",
                           help="directory for report files")
-    estimate.add_argument("--format", default="jsonl",
-                          help="comma-separated subset of jsonl,csv,svg,txt")
+    estimate.add_argument("--format", default=None,
+                          help="comma-separated subset of jsonl,csv,svg,txt (needs --out)")
     estimate.add_argument("--from-counts", default=None, metavar="A,B",
                           help="replay recorded counts instead of sampling")
     estimate.add_argument("--run-id", default=None)
@@ -111,10 +111,6 @@ def _parse_params(pairs: list[str]) -> dict:
     return params
 
 
-def _parse_formats(raw: str) -> tuple[str, ...]:
-    return tuple(f.strip() for f in raw.split(",") if f.strip())
-
-
 def _cmd_estimate(args) -> int:
     params = _parse_params(args.param)
     if args.from_counts is not None:
@@ -125,9 +121,12 @@ def _cmd_estimate(args) -> int:
     run_id = args.run_id or args.variant
     started = time.perf_counter()
     if args.out is not None:
+        formats = parse_formats("jsonl" if args.format is None else args.format)
         manifest = RunManifest(run_id=run_id, configs=[config], output_dir=args.out,
-                               formats=_parse_formats(args.format), workers=args.workers)
+                               formats=formats, workers=args.workers)
         records = run_experiment(manifest)
+    elif args.format is not None:
+        raise ValueError("invalid value for 'format': report formats need --out DIR")
     else:
         records = [run_config(config, workers=args.workers)]
     return _print_records(run_id, records, started)

@@ -61,11 +61,10 @@ class ExperimentConfig:
     master_seed: int = 0
     trials: int = 10_000
     variant_params: dict = field(default_factory=dict)
+    # variant_params resolved once, at construction: read it, never mutate it
+    params: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"invalid value for 'variant': {self.variant!r} "
-                             f"(expected one of {', '.join(VARIANTS)})")
         for key, value in (("seed", self.master_seed), ("trials", self.trials)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"invalid value for '{key}': {value!r} is not an integer")
@@ -73,6 +72,7 @@ class ExperimentConfig:
             raise ValueError("invalid value for 'seed': must be an unsigned 64-bit integer")
         if self.trials < 1:
             raise ValueError("invalid value for 'trials': must be >= 1")
+        object.__setattr__(self, "params", resolve_params(self.variant, self.variant_params))
 
 
 @dataclass
@@ -222,7 +222,8 @@ class Param:
 
 def resolve_params(variant: str, raw: dict) -> dict:
     """Coerce ``raw`` against ``VARIANTS[variant].params``, defaults filling
-    the rest, then run the variant's cross-field check.
+    the rest, then run the variant's cross-field check; with a ``counts``
+    key, coerce it against the variant's replay table instead.
 
     Returns the params echo: table order, pairs as lists.  Unknown keys and
     bad values raise ValueError naming the field.
@@ -231,6 +232,11 @@ def resolve_params(variant: str, raw: dict) -> dict:
         raise ValueError(f"invalid value for 'variant': {variant!r} "
                          f"(expected one of {', '.join(VARIANTS)})")
     entry = VARIANTS[variant]
+    if "counts" in raw:
+        if entry.replay is None:
+            raise ValueError("invalid value for 'variant': counts replay supports " + ", ".join(
+                name for name, other in VARIANTS.items() if other.replay is not None))
+        return _coerce_table(variant, entry.replay.params, raw)
     params = _coerce_table(variant, entry.params, raw)
     entry.check(params, raw)
     return params
@@ -271,6 +277,7 @@ def _check_hopper_windows(params: dict, raw: dict) -> None:
 
 
 def _check_integral(params: dict, raw: dict) -> None:
+    parse_function(params["function_spec"])
     if not params["a"] < params["b"]:
         raise ValueError("invalid value for 'b': bounds must satisfy a < b")
     if (params["raster_mode"] == "rasterized"
@@ -386,7 +393,7 @@ def _pi_inside_mask(stream, count: int, params: dict, raster, arena) -> np.ndarr
 
 def estimate_pi(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Monte Carlo disc experiment: estimate = 4 * inside / total."""
-    params = resolve_params("pi", config.variant_params)
+    params = dict(config.params)
     raster = rasterize_circle(params["radius"]) if params["raster_mode"] == "raster" else None
     arena = _pi_arena(params)
 
@@ -406,9 +413,9 @@ def collect_pi_outcomes(config: ExperimentConfig,
     reproducible sample of the configured experiment rather than a prefix
     of the full estimating run.
     """
-    params = resolve_params("pi", config.variant_params)
     stream = derive_stream(config.master_seed, StreamId("pi/scatter", 0))
-    return _pi_cells(stream, min(config.trials, limit), params["radius"], _pi_arena(params))
+    return _pi_cells(stream, min(config.trials, limit), config.params["radius"],
+                     _pi_arena(config.params))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +429,7 @@ def estimate_e(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     between 9!/D(9) and e is ~1.9e-6, far below sampling noise at any
     achievable trial count.
     """
-    params = resolve_params("e", config.variant_params)
+    params = dict(config.params)
     size = params["permutation_size"]
     block = _flagged_orders(Dropper(slot_count=size), derangement_flags(size))
     [derangements] = _map_blocks(config.master_seed, [("e", config.trials, block)], workers)
@@ -495,10 +502,6 @@ def _chained_gcd_coprime(values: np.ndarray) -> int:
 
 
 def reference_zeta(m: int) -> float:
-    if m == 2:
-        return CONSTANTS.pi ** 2 / 6.0
-    if m == 3:
-        return CONSTANTS.zeta3
     return zeta_value(m)
 
 
@@ -511,7 +514,7 @@ def estimate_zeta(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     flags in its params.  For even m the record also carries the implied
     pi^m value, since zeta(2k) is a rational multiple of pi^(2k).
     """
-    params = resolve_params("zeta", config.variant_params)
+    params = dict(config.params)
     m = params["m"]
     uniform = params["sampler_mode"] == "uniform"
     # Random ticks draw geometric values, almost all below the table side.
@@ -556,7 +559,7 @@ def estimate_sec_tan(config: ExperimentConfig, workers: int = 1) -> EstimateReco
     config.trials sampled permutations.  The estimand is the max_size
     partial sum of the series whose limit is sec(1)+tan(1).
     """
-    params = resolve_params("sec_tan", config.variant_params)
+    params = dict(config.params)
     sizes = range(2, params["max_size"] + 1)
     jobs = [(f"sec_tan/size{size}", config.trials,
              _flagged_orders(Dropper(slot_count=size), alternating_flags(size)))
@@ -624,7 +627,7 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
     comes from adaptive Gauss-Kronrod quadrature, and the params echo its
     error estimate and whether it converged within its interval budget.
     """
-    params = resolve_params("integral", config.variant_params)
+    params = dict(config.params)
     f = parse_function(params["function_spec"])
     a, b = params["a"], params["b"]
     rasterized = params["raster_mode"] == "rasterized"
@@ -696,7 +699,7 @@ def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord
     With random_start_phase the two timing windows each get a start offset
     uniform in [0, period), modelling a timer that was already running.
     """
-    params = resolve_params("sqrt2", config.variant_params)
+    params = dict(config.params)
     course = TriangleCourse(leg_blocks=params["leg_blocks"],
                             speed_blocks_per_second=params["speed"])
     timer = HopperTimer(period_seconds=params["period"])
@@ -723,7 +726,8 @@ def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord
 
 _REPLAY_PARAMS = {
     "counts": Param("pair", minimum=0, item="int"),
-    "reported_decimals": Param("int", minimum=0),  # default: the variant's own style
+    # default: the variant's own style; past 17 digits a double has no more
+    "reported_decimals": Param("int", minimum=0, maximum=17),
 }
 
 
@@ -778,21 +782,18 @@ def estimate_from_counts(variant: str, counts: tuple[int, int], *, m: int = 3,
     ``reported_estimate``/``reported_error_pct`` strings rendered with each
     experiment's original display convention.
     """
-    return _replay(variant, {"counts": counts, "reported_decimals": reported_decimals, "m": m},
-                   direct=True)
+    raw = {"counts": counts}
+    if reported_decimals is not None:
+        raw["reported_decimals"] = reported_decimals
+    if "m" in resolve_params(variant, raw):  # a replay table that takes m: zeta's
+        raw["m"] = m
+    return _replay(variant, resolve_params(variant, raw))
 
 
-def _replay(variant: str, raw: dict, direct: bool = False) -> EstimateRecord:
-    """Replay the counts in ``raw``, coerced through the variant's replay
-    table.  In a ``direct`` call m is zeta's, and None means the default."""
-    replay = VARIANTS[variant].replay if variant in VARIANTS else None
-    if replay is None:
-        raise ValueError("invalid value for 'variant': counts replay supports " + ", ".join(
-            name for name, entry in VARIANTS.items() if entry.replay is not None))
-    if direct:
-        raw = {key: value for key, value in raw.items()
-               if value is not None and key in replay.params}
-    params = _coerce_table(variant, replay.params, raw)
+def _replay(variant: str, params: dict) -> EstimateRecord:
+    """Replay the counts in ``params``, resolved through the replay table."""
+    replay = VARIANTS[variant].replay
+    params = dict(params)
     decimals = params.pop("reported_decimals")
     record = replay.record(*params["counts"], params)
     reported_estimate = f"{record.estimate:.{replay.decimals if decimals is None else decimals}f}"
@@ -881,6 +882,6 @@ def run_config(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Execute one experiment config (or replay its counts) into a record."""
     if workers < 1:
         raise ValueError("invalid value for 'workers': must be >= 1")
-    if "counts" in config.variant_params:
-        return _replay(config.variant, config.variant_params)
+    if "counts" in config.params:
+        return _replay(config.variant, config.params)
     return _ESTIMATORS[config.variant](config, workers=workers)

@@ -134,10 +134,6 @@ class CurveRaster:
     x_stop: int
     heights: tuple[int, ...]
 
-    def cells(self) -> tuple[GridCell, ...]:
-        return tuple(GridCell(x, h)
-                     for x, h in zip(range(self.x_start, self.x_stop), self.heights))
-
     def signed_column_area(self) -> int:
         """Exact net area of the columns (width 1 each, signed heights)."""
         return sum(self.heights)

@@ -22,12 +22,12 @@ from .estimators import (
     ExperimentConfig,
     EstimateRecord,
     collect_pi_outcomes,
-    resolve_params,
     run_config,
 )
 from .geometry import CircleRaster, rasterize_circle
 
 REPORT_FORMATS = ("jsonl", "csv", "svg", "txt")
+RUN_KEYS = ("run_id", "output_dir", "formats", "workers")  # a manifest's [run] section
 
 # Column order of every report row.  wall_ms is always null in report files:
 # wall-clock timing would break byte-identical reruns, so it goes to stderr
@@ -65,16 +65,16 @@ class RunManifest:
         self.output_dir = Path(self.output_dir)
         if "svg" in self.formats:
             for config in self.configs:
-                if (config.variant == "pi" and "counts" not in config.variant_params
-                        and resolve_params("pi", config.variant_params)["radius"]
-                        > SCATTER_RADIUS_LIMIT):
+                if (config.variant == "pi" and "counts" not in config.params
+                        and config.params["radius"] > SCATTER_RADIUS_LIMIT):
                     raise ValueError(f"invalid value for 'radius': svg scatter plots "
                                      f"take radii up to {SCATTER_RADIUS_LIMIT}")
 
 
 def load_manifest(path, default_seed: int = 0) -> RunManifest:
     """Parse a flat key=value manifest: one [run] section plus one section
-    per experiment, all variant params as strings."""
+    per experiment, all variant params as strings.  Each config resolves its
+    params as it is built, so every section is checked before any trial."""
     path = Path(path)
     parser = configparser.ConfigParser()
     try:
@@ -83,17 +83,11 @@ def load_manifest(path, default_seed: int = 0) -> RunManifest:
     except configparser.Error as exc:
         raise ValueError(f"invalid manifest {path}: {exc}") from None
 
-    run_id = path.stem
-    output_dir = Path("runs")
-    formats: tuple[str, ...] = ("jsonl",)
-    workers = 1
-    if parser.has_section("run"):
-        section = parser["run"]
-        run_id = section.get("run_id", run_id)
-        output_dir = Path(section.get("output_dir", str(output_dir)))
-        if "formats" in section:
-            formats = tuple(f.strip() for f in section["formats"].split(",") if f.strip())
-        workers = _parse_int(section.get("workers", "1"), "workers")
+    run = dict(parser["run"]) if parser.has_section("run") else {}
+    for key in run:
+        if key not in RUN_KEYS:
+            raise ValueError(f"unknown key '{key}' in [run] (expected {', '.join(RUN_KEYS)})")
+    workers = _parse_int(run.get("workers", "1"), "workers")
 
     configs = []
     for name in parser.sections():
@@ -107,8 +101,14 @@ def load_manifest(path, default_seed: int = 0) -> RunManifest:
         trials = _parse_int(section.pop("trials", "10000"), "trials")
         configs.append(ExperimentConfig(variant=variant, master_seed=seed,
                                         trials=trials, variant_params=section))
-    return RunManifest(run_id=run_id, configs=configs, output_dir=output_dir,
-                       formats=formats, workers=workers)
+    return RunManifest(run_id=run.get("run_id", path.stem), configs=configs,
+                       output_dir=Path(run.get("output_dir", "runs")),
+                       formats=parse_formats(run.get("formats", "jsonl")), workers=workers)
+
+
+def parse_formats(raw: str) -> tuple[str, ...]:
+    """A manifest's ``formats`` or the CLI's ``--format``: comma-separated."""
+    return tuple(f.strip() for f in raw.split(",") if f.strip())
 
 
 def _parse_int(raw: str, key: str) -> int:
@@ -184,7 +184,7 @@ def write_reports(manifest: RunManifest, records: list[EstimateRecord]) -> list[
         for index, (config, record) in enumerate(zip(manifest.configs, records)):
             # A counts replay kept no dots to draw.
             if (config.variant != "pi" or record.estimate is None
-                    or "counts" in config.variant_params):
+                    or "counts" in config.params):
                 continue
             path = manifest.output_dir / f"{manifest.run_id}_{index:02d}_pi.svg"
             xs, zs = collect_pi_outcomes(config, SCATTER_DOT_LIMIT)

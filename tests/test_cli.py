@@ -280,6 +280,8 @@ class TestCommandLine:
         (["zeta", "--param", "sampler_mode=random_tick", "--param", "speed_multiplier=2000"],
          "speed_multiplier"),
         (["integral", "--param", "raster_mode=rasterized", "--param", "b=1000000000"], "b"),
+        (["pi", "--from-counts", "508,619", "--param", "reported_decimals=100000"],
+         "reported_decimals"),
     ])
     def test_bad_param_exits_two_and_names_field(self, capsys, argv, field):
         assert cli.main(["estimate", *argv, "--trials", "100"]) == 2
@@ -299,6 +301,22 @@ class TestCommandLine:
                          "--param", "raster_mode=raster", "--format", "jsonl,svg"])
         assert code == 2
         assert "'radius'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("formats", ["bogus", "jsonl"])
+    def test_format_without_out_exits_two(self, capsys, formats):
+        assert cli.main(["estimate", "pi", "--trials", "100", "--format", formats]) == 2
+        captured = capsys.readouterr()
+        assert "'format'" in captured.err
+        assert captured.out == ""
+
+    def test_bad_format_with_out_exits_two_before_sampling(self, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(runner, "run_config", None)  # any trial would fail loudly
+        code = cli.main(["estimate", "pi", "--trials", "100", "--out", str(tmp_path),
+                         "--format", "bogus"])
+        assert code == 2
+        assert "'formats'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_degenerate_exits_one(self, capsys):
@@ -339,6 +357,32 @@ class TestCommandLine:
                               "[exp]\nvariant = pi\ntrials = 0\n")
         assert cli.main(["run", str(path)]) == 2
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("last, field", [
+        ("variant = pi\nwobble = 1", "wobble"),
+        ("variant = zeta\nm = 65", "m"),
+        ("variant = integral\nfunction_spec = sinc(x)", "function_spec"),
+    ])
+    def test_bad_last_section_exits_two_before_the_first_trial(
+            self, tmp_path, capsys, monkeypatch, last, field):
+        monkeypatch.setattr(runner, "run_config", None)  # any trial would fail loudly
+        out = tmp_path / "out"
+        path = write_manifest(tmp_path / "m.ini", f"[run]\noutput_dir = {out}\n\n"
+                              f"[first]\nvariant = zeta\ntrials = 3000000\n\n[last]\n{last}\n")
+        assert cli.main(["run", str(path)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_run_key_exits_two_and_names_it(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "run_config", None)
+        out = tmp_path / "out"
+        path = write_manifest(tmp_path / "m.ini", f"[run]\noutput_dir = {out}\nworker = 0\n"
+                              "format = svg\n\n[pi]\nvariant = pi\n")
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'worker'" in err
+        assert all(key in err for key in runner.RUN_KEYS)
+        assert not out.exists()
 
     def test_raster_circle_text(self, capsys):
         assert cli.main(["raster", "circle", "--radius", "2", "--txt"]) == 0

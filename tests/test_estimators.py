@@ -1,4 +1,5 @@
 import argparse
+import copy
 import math
 import time
 import tracemalloc
@@ -103,6 +104,7 @@ class TestConfigValidation:
         ("e", {"counts": (10.7, 5)}, "counts"),
         ("e", {"counts": (True, True)}, "counts"),
         ("pi", {"counts": (508, 619), "reported_decimals": -1}, "reported_decimals"),
+        ("pi", {"counts": "508,619", "reported_decimals": "18"}, "reported_decimals"),
     ])
     def test_bad_value_names_its_field(self, variant, params, field):
         with pytest.raises(ValueError, match=f"'{field}'"):
@@ -112,6 +114,16 @@ class TestConfigValidation:
             # zeta's, so only the config path rejects an m for e.
             with pytest.raises(ValueError, match=f"'{field}'"):
                 estimate_from_counts(variant, **params)
+
+    @pytest.mark.parametrize("variant, params, field", [
+        ("pi", {"wobble": 3}, "wobble"),
+        ("zeta", {"m": 65}, "m"),
+        ("integral", {"function_spec": "sinc(x)"}, "function_spec"),
+        ("sec_tan", {"counts": "70,58"}, "variant"),
+    ])
+    def test_config_is_checked_when_built(self, variant, params, field):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            ExperimentConfig(variant=variant, variant_params=params)
 
     def test_string_params_are_coerced(self):
         record = estimate_pi(config("pi", trials=1000, radius="11",
@@ -595,6 +607,29 @@ class TestDeterminism:
         cfg = ExperimentConfig(variant=variant, master_seed=77, trials=30_000,
                                variant_params=dict(params))
         assert run_config(cfg) == run_config(cfg)
+
+    @pytest.mark.parametrize("variant, params", [
+        ("sqrt2", {"random_start_phase": "true"}),
+        ("pi", {"sampler_mode": "slime_walk_drift", "radius": "6", "raster_mode": "raster"}),
+        ("e", {"permutation_size": "5"}),
+        ("zeta", {"m": "2", "sampler_mode": "random_tick"}),
+        ("sec_tan", {"max_size": "4"}),
+        ("integral", {"raster_mode": "rasterized"}),
+        ("zeta", {"counts": "70,58", "m": "4"}),
+    ])
+    def test_one_config_run_twice_keeps_its_resolved_params(self, variant, params,
+                                                            monkeypatch):
+        cfg = config(variant, seed=5, trials=2000, **params)
+        resolved = copy.deepcopy(cfg.params)
+        # the params were resolved when the config was built; running it
+        # resolves nothing again
+        monkeypatch.setattr(estimators, "resolve_params", None)
+        first = run_config(cfg)
+        assert cfg.params == resolved
+        assert run_config(cfg) == first
+        assert cfg.params == resolved
+        if variant == "pi":
+            collect_pi_outcomes(cfg, 100)
 
     def test_worker_count_does_not_change_results(self):
         cfg = config("pi", seed=11, trials=200_000)

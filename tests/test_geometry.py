@@ -188,9 +188,8 @@ class TestCurveRaster:
 
     def test_one_cell_per_column(self):
         raster = rasterize_curve(lambda x: math.sin(x), -3, 7)
-        cells = raster.cells()
-        assert len(cells) == 10
-        assert [c.x for c in cells] == list(range(-3, 7))
+        assert len(raster.heights) == 10
+        assert list(range(raster.x_start, raster.x_stop)) == list(range(-3, 7))
 
     def test_non_finite_error_names_the_column(self):
         with pytest.raises(ValueError, match="column 2"):
