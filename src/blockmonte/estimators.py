@@ -22,6 +22,7 @@ import numpy as np
 from .combinatorics import alternating_flags, derangement_flags
 from .errors import DegenerateCourseError, DegenerateRegionError, DegenerateSampleError
 from .geometry import (
+    DEFAULT_WALK_SPEED,
     TriangleCourse,
     cells_in_disc,
     gauss_kronrod,
@@ -30,7 +31,9 @@ from .geometry import (
     traversal_seconds,
 )
 from .mechanics import (
+    DROPPER_MAX_SLOTS,
     HOPPER_MAX_PERIODS,
+    HOPPER_PERIOD_SECONDS,
     Dropper,
     HopperTimer,
     RandomTickScheduler,
@@ -97,8 +100,8 @@ class EstimateRecord:
 
 
 # ---------------------------------------------------------------------------
-# record builders: the counts-to-record arithmetic, shared by the sampling
-# estimators and the count replay
+# record builders: the one step from counts to record, shared by the
+# sampling estimators and the count replay; each checks its counts
 
 
 def _record(variant: str, estimate: float, trials_used: int, success_count: int | None,
@@ -123,6 +126,10 @@ def _record(variant: str, estimate: float, trials_used: int, success_count: int 
 
 def _pi_record(inside: int, total: int, seed: int | None, params: dict) -> EstimateRecord:
     """4 * inside / total, its binomial stderr and the Wilson interval times 4."""
+    if total == 0:
+        raise DegenerateSampleError("total count is zero")
+    if inside > total:
+        raise ValueError("invalid value for 'counts': inside count cannot exceed the total")
     p_hat = inside / total
     low, high = wilson_ci(inside, total, Z_95)
     return _record("pi", 4.0 * inside / total, total, inside,
@@ -132,18 +139,35 @@ def _pi_record(inside: int, total: int, seed: int | None, params: dict) -> Estim
 
 def _ratio_record(variant: str, trials: int, successes: int, reference: float,
                   seed: int | None, params: dict) -> EstimateRecord:
-    """trials / successes (e, zeta), its delta-method stderr and the Wilson
-    interval of the proportion, inverted.  The caller rejects zero successes."""
+    """trials / successes, its delta-method stderr and the Wilson interval
+    of the proportion, inverted.  The caller rejects zero successes."""
+    if successes > trials:
+        raise ValueError("invalid value for 'counts': successes cannot exceed the trial count")
     low, high = wilson_ci(successes, trials, Z_95)
     return _record(variant, trials / successes, trials, successes,
                    ratio_stderr(successes, trials), (1.0 / high, 1.0 / low),
                    reference, seed, params)
 
 
+def _e_record(trials: int, derangements: int, seed: int | None, params: dict) -> EstimateRecord:
+    if derangements == 0:
+        raise DegenerateSampleError("no derangements observed; cannot form trials/derangements")
+    return _ratio_record("e", trials, derangements, CONSTANTS.e, seed, params)
+
+
+def _zeta_record(trials: int, coprime: int, seed: int | None, params: dict) -> EstimateRecord:
+    if coprime == 0:
+        raise DegenerateSampleError("no coprime tuples observed; cannot form trials/coprime")
+    return _ratio_record("zeta", trials, coprime, reference_zeta(params["m"]), seed, params)
+
+
 def _quotient_record(hyp_items: int, leg_items: int, seed: int | None,
                      params: dict) -> EstimateRecord:
     """sqrt2's hyp_items / leg_items: one deterministic count ratio, no
     sampling model, so no stderr or interval."""
+    if leg_items == 0:
+        raise DegenerateCourseError(
+            "leg traversal finished before the timer released a single item")
     return _record("sqrt2", hyp_items / leg_items, 1, None, None, (None, None),
                    CONSTANTS.sqrt2, seed, params)
 
@@ -238,7 +262,8 @@ def resolve_params(variant: str, raw: dict) -> dict:
                 name for name, other in VARIANTS.items() if other.replay is not None))
         return _coerce_table(variant, entry.replay.params, raw)
     params = _coerce_table(variant, entry.params, raw)
-    entry.check(params, raw)
+    if entry.check is not None:
+        entry.check(params, raw)
     return params
 
 
@@ -255,12 +280,17 @@ def _coerce_table(variant: str, table: dict[str, Param], raw: dict) -> dict:
 
 def _check_pi(params: dict, raw: dict) -> None:
     """slime_walk_drift defaults its drift to (0.3, -0.3); no other sampler
-    takes one."""
+    takes one.  A slime sampler's arena is built here as well, so its reach
+    rule (step plus drift below the square side) runs before any trial."""
     if params["sampler_mode"] == "slime_walk_drift":
         if "drift" not in raw:
             params["drift"] = [0.3, -0.3]
     elif params["drift"] != [0.0, 0.0]:
         raise ValueError("invalid value for 'drift': only slime_walk_drift accepts a bias")
+    try:
+        _pi_arena(params)
+    except ValueError as exc:
+        raise ValueError(f"invalid value for 'step_cells': {exc}") from None
 
 
 def _check_hopper_windows(params: dict, raw: dict) -> None:
@@ -277,13 +307,13 @@ def _check_hopper_windows(params: dict, raw: dict) -> None:
 
 
 def _check_integral(params: dict, raw: dict) -> None:
-    parse_function(params["function_spec"])
     if not params["a"] < params["b"]:
         raise ValueError("invalid value for 'b': bounds must satisfy a < b")
     if (params["raster_mode"] == "rasterized"
             and params["b"] - params["a"] > MAX_RASTER_COLUMNS):
         raise ValueError(f"invalid value for 'b': rasterized mode takes at most "
                          f"{MAX_RASTER_COLUMNS} columns (b - a)")
+    _function_span(params)
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +463,7 @@ def estimate_e(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     size = params["permutation_size"]
     block = _flagged_orders(Dropper(slot_count=size), derangement_flags(size))
     [derangements] = _map_blocks(config.master_seed, [("e", config.trials, block)], workers)
-    if derangements == 0:
-        raise DegenerateSampleError("no derangements observed; cannot form trials/derangements")
-    return _ratio_record("e", config.trials, derangements, CONSTANTS.e,
-                         config.master_seed, params)
+    return _e_record(config.trials, derangements, config.master_seed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +561,8 @@ def estimate_zeta(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
                                  table)
 
     [coprime] = _map_blocks(config.master_seed, [("zeta", config.trials, block)], workers)
-    if coprime == 0:
-        raise DegenerateSampleError("no coprime tuples observed; cannot form trials/coprime")
     params["value_distribution"] = "uniform" if uniform else "negative_binomial_non_uniform"
-    record = _ratio_record("zeta", config.trials, coprime, reference_zeta(m),
-                           config.master_seed, params)
+    record = _zeta_record(config.trials, coprime, config.master_seed, params)
     if m in ZETA_EVEN_PI_COEFFICIENT:
         scale = 1.0 / float(ZETA_EVEN_PI_COEFFICIENT[m])
         params["pi_power"] = m
@@ -617,6 +641,29 @@ def parse_function(expression: str) -> Callable:
     return evaluate
 
 
+def _function_span(params: dict) -> tuple[Callable, float, float]:
+    """``function_spec`` compiled, and its least and greatest value on
+    _EXTREMA_SAMPLES evenly spaced points of [a, b].
+
+    In rasterized mode the b - a column midpoints x + 0.5 are evaluated
+    too, as one numpy array, so a pole or overflow there shows as a
+    non-finite value.  Either raises ValueError naming function_spec.
+    """
+    f = parse_function(params["function_spec"])
+    a, b = params["a"], params["b"]
+    points = [np.linspace(a, b, _EXTREMA_SAMPLES)]
+    if params["raster_mode"] == "rasterized":
+        points.append(np.arange(a, b) + 0.5)
+    try:
+        with np.errstate(all="ignore"):
+            values = [np.asarray(f(x), dtype=float) for x in points]
+    except (ArithmeticError, TypeError) as exc:
+        raise ValueError(f"invalid value for 'function_spec': {exc}") from None
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError("invalid value for 'function_spec': non-finite values on the domain")
+    return f, float(values[0].min()), float(values[0].max())
+
+
 def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Signed-area Monte Carlo for the integral of f over [a, b].
 
@@ -628,16 +675,12 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
     error estimate and whether it converged within its interval budget.
     """
     params = dict(config.params)
-    f = parse_function(params["function_spec"])
+    f, f_low, f_high = _function_span(params)
     a, b = params["a"], params["b"]
     rasterized = params["raster_mode"] == "rasterized"
-
-    dense = np.asarray(f(np.linspace(a, b, _EXTREMA_SAMPLES)), dtype=float)
-    if not np.isfinite(dense).all():
-        raise ValueError("invalid value for 'function_spec': non-finite values on the domain")
     heights = None
-    y_low = min(0.0, float(dense.min()))
-    y_high = max(0.0, float(dense.max()))
+    y_low = min(0.0, f_low)
+    y_high = max(0.0, f_high)
     if rasterized:
         curve = rasterize_curve(f, a, b)
         heights = np.asarray(curve.heights, dtype=float)
@@ -645,7 +688,8 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
         y_high = max(y_high, float(heights.max()))
         reference = float(curve.signed_column_area())
     else:
-        reference, abserr, converged = gauss_kronrod(f, a, b)
+        with np.errstate(all="ignore"):  # a non-finite node value raises ValueError
+            reference, abserr, converged = gauss_kronrod(f, a, b)
         params["reference_abserr"] = abserr
         params["reference_converged"] = converged
 
@@ -656,10 +700,9 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
         params["note"] = "flat zero curve; estimate exact"
         return _record("integral", 0.0, config.trials, 0, 0.0, (0.0, 0.0), reference,
                        config.master_seed, params)
-    if not (math.isfinite(y_low) and math.isfinite(y_high)):
-        raise DegenerateRegionError("sampling box is unbounded")
-
     box_area = (b - a) * (y_high - y_low)
+    if not math.isfinite(box_area):
+        raise DegenerateRegionError("sampling box area is not finite")
 
     def block(stream, count):
         xs = a + stream.float_block(count) * (b - a)
@@ -681,10 +724,12 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
     hit = (above + below) / config.trials
     estimate = net * box_area
     stderr = box_area * math.sqrt(max(0.0, hit - net * net) / config.trials)
+    ci = (estimate - Z_95 * stderr, estimate + Z_95 * stderr)
+    if not (math.isfinite(ci[0]) and math.isfinite(ci[1])):
+        raise DegenerateRegionError("interval on the sampling box is not finite")
     params["hits_above"] = above
     params["hits_below"] = below
-    return _record("integral", estimate, config.trials, above + below, stderr,
-                   (estimate - Z_95 * stderr, estimate + Z_95 * stderr), reference,
+    return _record("integral", estimate, config.trials, above + below, stderr, ci, reference,
                    config.master_seed, params)
 
 
@@ -712,9 +757,6 @@ def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord
         leg_phase = hyp_phase = 0.0
     leg_items = hopper_items_in_window(timer, leg_time, leg_phase)
     hyp_items = hopper_items_in_window(timer, hyp_time, hyp_phase)
-    if leg_items == 0:
-        raise DegenerateCourseError(
-            "leg traversal finished before the timer released a single item")
     params["leg_items"] = leg_items
     params["hyp_items"] = hyp_items
     return _quotient_record(hyp_items, leg_items, config.master_seed, params)
@@ -737,38 +779,15 @@ class Replay:
     precision the counts were first reported with; ``error_from_reported``
     says whether that report quoted its error from the already-rounded
     estimate (sqrt2 and e did; pi and zeta quoted the error of the full
-    ratio).  ``record(first, second, params)`` checks the counts and builds
-    the record."""
+    ratio).  ``record`` is the variant's record builder, called as
+    ``record(first, second, None, params)``; ``echo`` names the params keys,
+    if any, that repeat the two counts."""
 
     decimals: int
     error_from_reported: bool
     record: Callable
     params: dict
-
-
-def _replay_sqrt2(hyp_items: int, leg_items: int, params: dict) -> EstimateRecord:
-    if leg_items == 0:
-        raise DegenerateSampleError("leg item count is zero")
-    return _quotient_record(hyp_items, leg_items, None,
-                            {**params, "hyp_items": hyp_items, "leg_items": leg_items})
-
-
-def _replay_pi(inside: int, total: int, params: dict) -> EstimateRecord:
-    if total == 0:
-        raise DegenerateSampleError("total count is zero")
-    if inside > total:
-        raise ValueError("inside count cannot exceed the total")
-    return _pi_record(inside, total, None, {**params, "inside": inside, "total": total})
-
-
-def _replay_ratio(variant: str, trials: int, successes: int, reference: float,
-                  params: dict) -> EstimateRecord:
-    """e and zeta share the (trials, successes) shape."""
-    if successes == 0:
-        raise DegenerateSampleError("success count is zero")
-    if successes > trials:
-        raise ValueError("successes cannot exceed the trial count")
-    return _ratio_record(variant, trials, successes, reference, None, params)
+    echo: tuple[str, ...] = ()
 
 
 def estimate_from_counts(variant: str, counts: tuple[int, int], *, m: int = 3,
@@ -785,9 +804,10 @@ def estimate_from_counts(variant: str, counts: tuple[int, int], *, m: int = 3,
     raw = {"counts": counts}
     if reported_decimals is not None:
         raw["reported_decimals"] = reported_decimals
-    if "m" in resolve_params(variant, raw):  # a replay table that takes m: zeta's
-        raw["m"] = m
-    return _replay(variant, resolve_params(variant, raw))
+    params = resolve_params(variant, raw)
+    if "m" in params:  # a replay table that takes m: zeta's
+        params["m"] = VARIANTS[variant].replay.params["m"].coerce("m", m)
+    return _replay(variant, params)
 
 
 def _replay(variant: str, params: dict) -> EstimateRecord:
@@ -795,7 +815,8 @@ def _replay(variant: str, params: dict) -> EstimateRecord:
     replay = VARIANTS[variant].replay
     params = dict(params)
     decimals = params.pop("reported_decimals")
-    record = replay.record(*params["counts"], params)
+    params.update(zip(replay.echo, params["counts"]))
+    record = replay.record(*params["counts"], None, params)
     reported_estimate = f"{record.estimate:.{replay.decimals if decimals is None else decimals}f}"
     error_basis = float(reported_estimate) if replay.error_from_reported else record.estimate
     record.params["reported_estimate"] = reported_estimate
@@ -810,24 +831,25 @@ def _replay(variant: str, params: dict) -> EstimateRecord:
 @dataclass(frozen=True)
 class Variant:
     """One variant: ``sample(config, workers=1)`` runs it; ``params`` is its
-    parameter table, in params-echo order; ``check(params, raw)`` runs
+    parameter table, in params-echo order; ``check(params, raw)``, if any, runs
     after coercion, rejects what no single field can and may fill a default
     that depends on another field; ``replay`` is None if its counts cannot
     be replayed."""
 
     sample: Callable
     params: dict[str, Param]
-    check: Callable[[dict, dict], None] = lambda params, raw: None
+    check: Callable[[dict, dict], None] | None = None
     replay: Replay | None = None
 
 
 VARIANTS: dict[str, Variant] = {
     "sqrt2": Variant(estimate_sqrt2, {
         "leg_blocks": Param("int", 100, minimum=1),
-        "speed": Param("float", 4.317, above=0),
-        "period": Param("float", 0.4, above=0),
+        "speed": Param("float", DEFAULT_WALK_SPEED, above=0),
+        "period": Param("float", HOPPER_PERIOD_SECONDS, above=0),
         "random_start_phase": Param("bool", False),
-    }, _check_hopper_windows, Replay(4, True, _replay_sqrt2, _REPLAY_PARAMS)),
+    }, _check_hopper_windows,
+        Replay(4, True, _quotient_record, _REPLAY_PARAMS, ("hyp_items", "leg_items"))),
     "pi": Variant(estimate_pi, {
         # Beyond 2^30 the int64 disc test x^2 + z^2 <= r^2 could overflow.
         "radius": Param("int", 50, minimum=1, maximum=2 ** 30),
@@ -841,11 +863,11 @@ VARIANTS: dict[str, Variant] = {
         # block takes seconds, at 1e-9 a run would take days.
         "kill_probability": Param("float", 0.05, minimum=1e-3, maximum=1),
         "drift": Param("pair", (0.0, 0.0)),  # slime_walk_drift: (0.3, -0.3)
-    }, _check_pi, Replay(3, False, _replay_pi, _REPLAY_PARAMS)),
+    }, _check_pi, Replay(3, False, _pi_record, _REPLAY_PARAMS, ("inside", "total"))),
     "e": Variant(estimate_e, {
-        "permutation_size": Param("int", 9, minimum=2, maximum=9),
-    }, replay=Replay(5, True, lambda trials, derangements, params: _replay_ratio(
-        "e", trials, derangements, CONSTANTS.e, params), _REPLAY_PARAMS)),
+        "permutation_size": Param("int", DROPPER_MAX_SLOTS, minimum=2,
+                                  maximum=DROPPER_MAX_SLOTS),
+    }, replay=Replay(5, True, _e_record, _REPLAY_PARAMS)),
     "zeta": Variant(estimate_zeta, {
         # Each block draws a (65,536 x m) int64 array plus a +1 copy, about
         # 1 MB per unit of m and worker; and from m = 54 on zeta(m) is 1.0 in
@@ -859,11 +881,9 @@ VARIANTS: dict[str, Variant] = {
         "growth_prob": Param("float", 1.0 / 3.0, minimum=1e-14, maximum=1),
         # 3 picks per tick times this cannot exceed the 16^3-cell cube.
         "speed_multiplier": Param("int", 64, minimum=1, maximum=4096 // 3),
-    }, replay=Replay(4, False, lambda trials, coprime, params: _replay_ratio(
-        "zeta", trials, coprime, reference_zeta(params["m"]), params),
-        {**_REPLAY_PARAMS, "m": Param("int", 3, minimum=2)})),
+    }, replay=Replay(4, False, _zeta_record, {**_REPLAY_PARAMS, "m": Param("int", 3, minimum=2)})),
     "sec_tan": Variant(estimate_sec_tan, {
-        "max_size": Param("int", 9, minimum=0, maximum=9),
+        "max_size": Param("int", DROPPER_MAX_SLOTS, minimum=0, maximum=DROPPER_MAX_SLOTS),
     }),
     "integral": Variant(estimate_integral, {
         "function_spec": Param("str", "x**2*sin(x) + cbrt(x)"),

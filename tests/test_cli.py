@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,10 @@ class TestCommandLine:
         (["integral", "--param", "raster_mode=rasterized", "--param", "b=1000000000"], "b"),
         (["pi", "--from-counts", "508,619", "--param", "reported_decimals=100000"],
          "reported_decimals"),
+        (["pi", "--from-counts", "700,619"], "counts"),
+        (["e", "--from-counts", "5,10"], "counts"),
+        (["integral", "--param", "function_spec=1/(x-4.5)", "--param", "raster_mode=rasterized"],
+         "function_spec"),
     ])
     def test_bad_param_exits_two_and_names_field(self, capsys, argv, field):
         assert cli.main(["estimate", *argv, "--trials", "100"]) == 2
@@ -324,6 +329,14 @@ class TestCommandLine:
                          "--param", "speed=100"])
         assert code == 1
         assert "degenerate" in capsys.readouterr().err
+
+    def test_integral_box_past_the_largest_float_exits_one(self, capsys):
+        code = cli.main(["estimate", "integral", "--trials", "1000",
+                         "--param", "function_spec=1e307*sin(x)", "--param", "b=100"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "degenerate" in captured.err
+        assert "Infinity" not in captured.out and "NaN" not in captured.out
 
     def test_integral_with_no_hits_exits_one(self, capsys):
         # The pole stretches the sampling box until no point lands between
@@ -370,6 +383,22 @@ class TestCommandLine:
         path = write_manifest(tmp_path / "m.ini", f"[run]\noutput_dir = {out}\n\n"
                               f"[first]\nvariant = zeta\ntrials = 3000000\n\n[last]\n{last}\n")
         assert cli.main(["run", str(path)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("last, field", [
+        ("variant = pi\nsampler_mode = slime_walk\nstep_cells = 100\nradius = 1", "step_cells"),
+        ("variant = integral\nfunction_spec = log(x)", "function_spec"),
+    ])
+    def test_device_rules_of_the_last_section_run_before_the_first_trial(
+            self, tmp_path, capsys, monkeypatch, last, field):
+        monkeypatch.setattr(runner, "run_config", None)  # any trial would fail loudly
+        out = tmp_path / "out"
+        path = write_manifest(tmp_path / "m.ini", f"[run]\noutput_dir = {out}\n\n"
+                              f"[first]\nvariant = e\ntrials = 200000\n\n[last]\n{last}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # log(0) must not warn
+            assert cli.main(["run", str(path)]) == 2
         assert f"'{field}'" in capsys.readouterr().err
         assert not out.exists()
 

@@ -3,6 +3,7 @@ import copy
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,12 @@ import pytest
 
 from blockmonte import cli, estimators
 from blockmonte.combinatorics import derangement_count, zigzag_count
-from blockmonte.errors import DegenerateCourseError, DegenerateSampleError
+from blockmonte.errors import (
+    DegenerateCourseError,
+    DegenerateRegionError,
+    DegenerateResultError,
+    DegenerateSampleError,
+)
 from blockmonte.estimators import (
     ExperimentConfig,
     collect_pi_outcomes,
@@ -105,6 +111,9 @@ class TestConfigValidation:
         ("e", {"counts": (True, True)}, "counts"),
         ("pi", {"counts": (508, 619), "reported_decimals": -1}, "reported_decimals"),
         ("pi", {"counts": "508,619", "reported_decimals": "18"}, "reported_decimals"),
+        ("pi", {"sampler_mode": "slime_walk", "step_cells": 100, "radius": 1}, "step_cells"),
+        ("pi", {"counts": (700, 619)}, "counts"),
+        ("e", {"counts": (5, 10)}, "counts"),
     ])
     def test_bad_value_names_its_field(self, variant, params, field):
         with pytest.raises(ValueError, match=f"'{field}'"):
@@ -120,6 +129,8 @@ class TestConfigValidation:
         ("zeta", {"m": 65}, "m"),
         ("integral", {"function_spec": "sinc(x)"}, "function_spec"),
         ("sec_tan", {"counts": "70,58"}, "variant"),
+        ("integral", {"function_spec": "1/0"}, "function_spec"),
+        ("integral", {"function_spec": "sin()"}, "function_spec"),
     ])
     def test_config_is_checked_when_built(self, variant, params, field):
         with pytest.raises(ValueError, match=f"'{field}'"):
@@ -203,6 +214,20 @@ class TestFromCounts:
     def test_inside_exceeding_total_rejected(self):
         with pytest.raises(ValueError):
             estimate_from_counts("pi", (700, 619))
+
+    @pytest.mark.parametrize("variant, params, counts", [
+        ("e", {"permutation_size": 2}, (1, 0)),
+        ("sqrt2", {"leg_blocks": 1, "speed": 100}, (0, 0)),
+    ])
+    def test_sampling_and_replay_fail_alike_on_the_same_tally(self, variant, params, counts):
+        # Seed 1's one size-2 order is the identity: no derangement.  A
+        # one-block leg at speed 100 ends before the timer's first item.
+        with pytest.raises(DegenerateResultError) as sampled:
+            run_config(config(variant, seed=1, trials=1, **params))
+        with pytest.raises(DegenerateResultError) as replayed:
+            estimate_from_counts(variant, counts)
+        assert ((type(replayed.value), str(replayed.value))
+                == (type(sampled.value), str(sampled.value)))
 
     @pytest.mark.parametrize("variant, params", [
         ("sqrt2", {}),
@@ -502,6 +527,36 @@ class TestIntegral:
     def test_no_hits_on_a_tall_box_is_degenerate(self):
         with pytest.raises(DegenerateSampleError):
             estimate_integral(config("integral", trials=100, function_spec="1/(x-0.3)"))
+
+    @pytest.mark.parametrize("function_spec, raster_mode", [
+        ("log(x)", "continuous"),  # -inf at the grid's first point, x = 0
+        ("1/(x-4.5)", "rasterized"),  # a pole at one column's midpoint
+    ])
+    def test_function_not_finite_on_its_points_is_rejected_when_built(
+            self, function_spec, raster_mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="'function_spec'"):
+                config("integral", function_spec=function_spec, raster_mode=raster_mode)
+
+    def test_pole_at_a_quadrature_node_is_named_without_a_warning(self):
+        # The grid misses x = 4; the middle node of the first Kronrod rule
+        # on [0, 8] does not, so this one is found when the section runs.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="'function_spec': not finite at x = 4.0"):
+                run_config(config("integral", trials=100, function_spec="1/(x-4)"))
+
+    def test_box_area_past_the_largest_float_is_degenerate(self):
+        with pytest.raises(DegenerateRegionError, match="box area"):  # before any trial
+            run_config(config("integral", trials=1000, function_spec="1e307*sin(x)", b=100))
+
+    def test_interval_past_the_largest_float_is_degenerate(self):
+        # The box (about 1.6e308) is finite; with one hit above the axis
+        # and one below, estimate +- 1.96 stderr is not.
+        with pytest.raises(DegenerateRegionError, match="interval"):
+            run_config(config("integral", seed=0, trials=2, function_spec="1.3e306*sin(x)",
+                              b=60))
 
     def test_linear_function(self):
         record = estimate_integral(config("integral", seed=1, trials=1_000_000,
