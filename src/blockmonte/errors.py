@@ -18,4 +18,5 @@ class DegenerateCourseError(DegenerateResultError):
 
 
 class DegenerateRegionError(DegenerateResultError):
-    """A sampling region with no area to draw points from."""
+    """A sampling box whose area, or the interval built on it, is not a
+    finite double."""
