@@ -118,11 +118,9 @@ def raster_to_text(raster: CircleRaster, fill: str = "#", empty: str = ".",
     return "\n".join(rows)
 
 
-def round_half_away_from_zero(value: float) -> int:
-    """Round to the nearest whole number; halves go away from zero."""
-    if value >= 0:
-        return math.floor(value + 0.5)
-    return math.ceil(value - 0.5)
+def round_half_away_from_zero(value):
+    """Round to the nearest whole number, elementwise; halves go away from zero."""
+    return np.where(value >= 0, np.floor(value + 0.5), np.ceil(value - 0.5))
 
 
 @dataclass(frozen=True)
@@ -139,20 +137,21 @@ class CurveRaster:
         return sum(self.heights)
 
 
-def rasterize_curve(f: Callable[[float], float], a: int, b: int) -> CurveRaster:
-    """Block heights round_half_away_from_zero(f(x + 0.5)) for x in [a, b)."""
+def rasterize_curve(f: Callable[[np.ndarray], np.ndarray], a: int, b: int) -> CurveRaster:
+    """Heights round_half_away_from_zero(f(x + 0.5)) for x in [a, b), from one call of f."""
     if int(a) != a or int(b) != b:
         raise ValueError("domain endpoints must be integers")
     a, b = int(a), int(b)
     if not a < b:
         raise ValueError("domain must satisfy a < b")
-    heights = []
-    for x in range(a, b):
-        value = float(f(x + 0.5))
-        if not math.isfinite(value):
-            raise ValueError(f"curve is not finite at column {x} (sampled at {x + 0.5})")
-        heights.append(round_half_away_from_zero(value))
-    return CurveRaster(x_start=a, x_stop=b, heights=tuple(heights))
+    midpoints = np.arange(a, b) + 0.5
+    values = np.broadcast_to(np.asarray(f(midpoints), dtype=float), midpoints.shape)
+    finite = np.isfinite(values)
+    if not finite.all():
+        x = a + int(np.argmin(finite))
+        raise ValueError(f"curve is not finite at column {x} (sampled at {x + 0.5})")
+    heights = round_half_away_from_zero(values).tolist()
+    return CurveRaster(x_start=a, x_stop=b, heights=tuple(map(int, heights)))
 
 
 # QUADPACK's dqk21 rule (Piessens et al., QUADPACK, 1983): the 21-point
@@ -214,7 +213,7 @@ def gauss_kronrod(f: Callable, a: float, b: float) -> tuple[float, float, bool]:
         values = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
         if not np.isfinite(values).all():
             bad = float(nodes[~np.isfinite(values)][0])
-            raise ValueError(f"invalid value for 'function_spec': not finite at x = {bad!r}")
+            raise ValueError(f"integrand is not finite at x = {bad!r}")
         kronrod = halves * (values @ _GK_KRONROD)
         difference = np.abs(kronrod - halves * (values @ _GK_GAUSS))
         rounding = _ROUNDOFF * halves * (np.abs(values) @ _GK_KRONROD)

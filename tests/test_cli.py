@@ -287,6 +287,14 @@ class TestCommandLine:
         (["e", "--from-counts", "5,10"], "counts"),
         (["integral", "--param", "function_spec=1/(x-4.5)", "--param", "raster_mode=rasterized"],
          "function_spec"),
+        (["integral", "--param",
+          "function_spec=(lambda: ().__class__.__base__.__subclasses__().__len__())()"],
+         "function_spec"),
+        (["integral", "--param", "function_spec=1j*x"], "function_spec"),
+        (["integral", "--param", "function_spec=x[0]", "--param", "raster_mode=rasterized"],
+         "function_spec"),
+        (["integral", "--param", "function_spec=9**9**9"], "function_spec"),
+        (["integral", "--param", "a=-1" + "0" * 400], "a"),
     ])
     def test_bad_param_exits_two_and_names_field(self, capsys, argv, field):
         assert cli.main(["estimate", *argv, "--trials", "100"]) == 2

@@ -114,6 +114,7 @@ class TestConfigValidation:
         ("pi", {"sampler_mode": "slime_walk", "step_cells": 100, "radius": 1}, "step_cells"),
         ("pi", {"counts": (700, 619)}, "counts"),
         ("e", {"counts": (5, 10)}, "counts"),
+        ("integral", {"a": -10 ** 400}, "a"),
     ])
     def test_bad_value_names_its_field(self, variant, params, field):
         with pytest.raises(ValueError, match=f"'{field}'"):
@@ -131,6 +132,12 @@ class TestConfigValidation:
         ("sec_tan", {"counts": "70,58"}, "variant"),
         ("integral", {"function_spec": "1/0"}, "function_spec"),
         ("integral", {"function_spec": "sin()"}, "function_spec"),
+        ("integral", {"function_spec": "(lambda: ().__class__.__base__.__subclasses__()"
+                                       ".__len__())()"}, "function_spec"),
+        ("integral", {"function_spec": "1j*x"}, "function_spec"),
+        ("integral", {"function_spec": "x[0]", "raster_mode": "rasterized"}, "function_spec"),
+        ("integral", {"function_spec": "9**9**9"}, "function_spec"),
+        ("integral", {"function_spec": "x" + "**x" * 3000}, "function_spec"),
     ])
     def test_config_is_checked_when_built(self, variant, params, field):
         with pytest.raises(ValueError, match=f"'{field}'"):
@@ -597,6 +604,19 @@ class TestIntegral:
         record = estimate_integral(config("integral", seed=4, trials=400_000,
                                           function_spec="-1 + 0*x", a=0, b=2))
         assert abs(record.estimate - (-2.0)) < 4 * max(record.stderr, 1e-12)
+
+    @pytest.mark.parametrize("x", [-1.0, np.array([-1.0])])
+    def test_a_value_that_is_not_a_real_number_is_named_for_scalars_and_arrays(self, x):
+        with pytest.raises(ValueError, match="'function_spec': not finite at x = -1.0"):
+            parse_function("x**0.5")(x)
+
+    def test_the_function_returns_a_float_array_of_the_shape_of_x(self):
+        f = parse_function("x**2*sin(x) + cbrt(x)")
+        x = np.linspace(0, 8, 12).reshape(3, 4)
+        assert f(x).dtype == np.float64 and f(x).shape == (3, 4)
+        assert f(2.0).shape == ()
+        assert f(2.0) == pytest.approx(4 * math.sin(2.0) + np.cbrt(2.0), rel=1e-15)
+        assert parse_function("2")(np.arange(3)).tolist() == [2.0, 2.0, 2.0]
 
     def test_bad_syntax_rejected(self):
         with pytest.raises(ValueError, match="function_spec"):

@@ -178,7 +178,7 @@ class TestCurveRaster:
 
     def test_showcase_curve_matches_direct_evaluation(self):
         def f(x):
-            return x * x * math.sin(x) + x ** (1 / 3)
+            return x * x * np.sin(x) + x ** (1 / 3)
 
         raster = rasterize_curve(f, 0, 8)
         for x in range(0, 8):
@@ -186,14 +186,27 @@ class TestCurveRaster:
             expected = math.floor(value + 0.5) if value >= 0 else math.ceil(value - 0.5)
             assert raster.heights[x - raster.x_start] == expected
 
+    def test_the_curve_is_evaluated_once_on_the_column_midpoints(self):
+        f = parse_function("x**2*sin(x) + cbrt(x)")
+        calls = []
+
+        def counted(x):
+            calls.append(np.array(x, dtype=float))
+            return f(x)
+
+        raster = rasterize_curve(counted, 0, 8)
+        assert len(calls) == 1
+        assert calls[0].tolist() == [x + 0.5 for x in range(8)]
+        assert all(type(height) is int for height in raster.heights)
+
     def test_one_cell_per_column(self):
-        raster = rasterize_curve(lambda x: math.sin(x), -3, 7)
+        raster = rasterize_curve(lambda x: np.sin(x), -3, 7)
         assert len(raster.heights) == 10
         assert list(range(raster.x_start, raster.x_stop)) == list(range(-3, 7))
 
     def test_non_finite_error_names_the_column(self):
         with pytest.raises(ValueError, match="column 2"):
-            rasterize_curve(lambda x: math.nan if x > 2 else 0.0, 0, 5)
+            rasterize_curve(lambda x: np.where(x > 2, np.nan, 0.0), 0, 5)
 
     def test_invalid_domain(self):
         with pytest.raises(ValueError):
