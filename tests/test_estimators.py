@@ -138,6 +138,8 @@ class TestConfigValidation:
         ("integral", {"function_spec": "x[0]", "raster_mode": "rasterized"}, "function_spec"),
         ("integral", {"function_spec": "9**9**9"}, "function_spec"),
         ("integral", {"function_spec": "x" + "**x" * 3000}, "function_spec"),
+        ("integral", {"function_spec": "(-1)**0.5*x"}, "function_spec"),
+        ("integral", {"function_spec": "sin(x, x)"}, "function_spec"),
     ])
     def test_config_is_checked_when_built(self, variant, params, field):
         with pytest.raises(ValueError, match=f"'{field}'"):
