@@ -55,9 +55,9 @@ BLOCK_TRIALS = 1 << 16
 Z_95 = 1.96
 
 # rasterize_curve keeps each column's height as a Python int, so that their
-# sum is exact; at 100,000 columns one raster of the default integrand takes
-# about 19 ms and a 9 MB peak (2-core machine), and the config check and the
-# run each build one.  Rasterized integrals take at most this many columns.
+# sum is exact; at 100,000 columns the one raster of a config's build takes
+# about 19 ms and a 9 MB peak on the default integrand (2-core machine).
+# Rasterized integrals take at most this many columns.
 MAX_RASTER_COLUMNS = 100_000
 
 
@@ -69,6 +69,8 @@ class ExperimentConfig:
     variant_params: dict = field(default_factory=dict)
     # variant_params resolved once, at construction: read it, never mutate it
     params: dict = field(init=False, repr=False, compare=False)
+    # what the variant's build made for its sampler (None: replay, no build)
+    model: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for key, value in (("seed", self.master_seed), ("trials", self.trials)):
@@ -78,7 +80,9 @@ class ExperimentConfig:
             raise ValueError("invalid value for 'seed': must be an unsigned 64-bit integer")
         if self.trials < 1:
             raise ValueError("invalid value for 'trials': must be >= 1")
-        object.__setattr__(self, "params", resolve_params(self.variant, self.variant_params))
+        params, model = resolve_params(self.variant, self.variant_params)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "model", model)
 
 
 @dataclass
@@ -247,13 +251,13 @@ class Param:
         return value
 
 
-def resolve_params(variant: str, raw: dict) -> dict:
+def resolve_params(variant: str, raw: dict) -> tuple[dict, object]:
     """Coerce ``raw`` against ``VARIANTS[variant].params``, defaults filling
-    the rest, then run the variant's cross-field check; with a ``counts``
-    key, coerce it against the variant's replay table instead.
+    the rest, then run the variant's build; with a ``counts`` key, coerce
+    it against the variant's replay table instead.
 
-    Returns the params echo: table order, pairs as lists.  Unknown keys and
-    bad values raise ValueError naming the field.
+    Returns (params echo in table order, pairs as lists; the build's model
+    or None).  Unknown keys and bad values raise ValueError naming the field.
     """
     if variant not in VARIANTS:
         raise ValueError(f"invalid value for 'variant': {variant!r} "
@@ -263,11 +267,9 @@ def resolve_params(variant: str, raw: dict) -> dict:
         if entry.replay is None:
             raise ValueError("invalid value for 'variant': counts replay supports " + ", ".join(
                 name for name, other in VARIANTS.items() if other.replay is not None))
-        return _coerce_table(variant, entry.replay.params, raw)
+        return _coerce_table(variant, entry.replay.params, raw), None
     params = _coerce_table(variant, entry.params, raw)
-    if entry.check is not None:
-        entry.check(params, raw)
-    return params
+    return params, entry.build(params, raw) if entry.build is not None else None
 
 
 def _coerce_table(variant: str, table: dict[str, Param], raw: dict) -> dict:
@@ -279,46 +281,6 @@ def _coerce_table(variant: str, table: dict[str, Param], raw: dict) -> dict:
         value = entry.coerce(name, raw[name]) if name in raw else entry.default
         params[name] = list(value) if isinstance(value, tuple) else value
     return params
-
-
-def _check_pi(params: dict, raw: dict) -> None:
-    """slime_walk_drift defaults its drift to (0.3, -0.3); no other sampler
-    takes one.  A slime sampler's arena is built here as well, so its reach
-    rule (step plus drift below the square side) runs before any trial."""
-    if params["sampler_mode"] == "slime_walk_drift":
-        if "drift" not in raw:
-            params["drift"] = [0.3, -0.3]
-    elif params["drift"] != [0.0, 0.0]:
-        raise ValueError("invalid value for 'drift': only slime_walk_drift accepts a bias")
-    try:
-        _pi_arena(params)
-    except ValueError as exc:
-        raise ValueError(f"invalid value for 'step_cells': {exc}") from None
-
-
-def _check_hopper_windows(params: dict, raw: dict) -> None:
-    """Reject a sqrt2 course whose hypotenuse window, plus the start phase
-    of up to one period, reaches HOPPER_MAX_PERIODS timer periods."""
-    period = params["period"]
-    try:
-        _, hyp_time = traversal_seconds(TriangleCourse(params["leg_blocks"], params["speed"]))
-    except OverflowError:
-        hyp_time = math.inf
-    if (hyp_time + period) / period >= HOPPER_MAX_PERIODS:
-        raise ValueError("invalid value for 'speed': the hypotenuse takes 2**52 or more "
-                         "timer periods at this speed")
-
-
-def _check_integral(params: dict, raw: dict) -> None:
-    if not params["a"] < params["b"]:
-        raise ValueError("invalid value for 'b': bounds must satisfy a < b")
-    if (params["raster_mode"] == "rasterized"
-            and params["b"] - params["a"] > MAX_RASTER_COLUMNS):
-        raise ValueError(f"invalid value for 'b': rasterized mode takes at most "
-                         f"{MAX_RASTER_COLUMNS} columns (b - a)")
-    f, _, _ = _function_span(params)
-    if params["raster_mode"] == "rasterized":
-        rasterize_curve(f, params["a"], params["b"])
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +332,28 @@ def _flagged_orders(dropper: Dropper, flags: np.ndarray) -> Callable:
 # pi
 
 
-def _pi_arena(params: dict) -> SlimeArena | None:
-    """The slime arena of a slime sampler; None for uniform_ideal."""
-    if params["sampler_mode"] == "uniform_ideal":
-        return None
-    return SlimeArena(
-        half_width=params["radius"],
-        step_cells=params["step_cells"],
-        turn_probability=params["turn_probability"],
-        drift_bias=tuple(params["drift"]),
-        kill_probability=params["kill_probability"],
-    )
+def _build_pi(params: dict, raw: dict) -> tuple[SlimeArena | None, object]:
+    """(arena, raster) of a pi run: the slime arena, None for uniform_ideal,
+    and the circle raster, None for exact_disc.  slime_walk_drift defaults
+    its drift to (0.3, -0.3); no other sampler takes one.  Building the
+    arena here runs its reach rule (step plus drift below the square side)
+    before any trial."""
+    if params["sampler_mode"] == "slime_walk_drift":
+        if "drift" not in raw:
+            params["drift"] = [0.3, -0.3]
+    elif params["drift"] != [0.0, 0.0]:
+        raise ValueError("invalid value for 'drift': only slime_walk_drift accepts a bias")
+    arena = None
+    if params["sampler_mode"] != "uniform_ideal":
+        try:
+            arena = SlimeArena(half_width=params["radius"], step_cells=params["step_cells"],
+                               turn_probability=params["turn_probability"],
+                               drift_bias=tuple(params["drift"]),
+                               kill_probability=params["kill_probability"])
+        except ValueError as exc:
+            raise ValueError(f"invalid value for 'step_cells': {exc}") from None
+    raster = rasterize_circle(params["radius"]) if params["raster_mode"] == "raster" else None
+    return arena, raster
 
 
 def _uniform_points(stream, count: int, radius: int) -> np.ndarray:
@@ -429,8 +402,7 @@ def _pi_inside_mask(stream, count: int, params: dict, raster, arena) -> np.ndarr
 def estimate_pi(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Monte Carlo disc experiment: estimate = 4 * inside / total."""
     params = dict(config.params)
-    raster = rasterize_circle(params["radius"]) if params["raster_mode"] == "raster" else None
-    arena = _pi_arena(params)
+    arena, raster = config.model
 
     def block(stream, count):
         return int(_pi_inside_mask(stream, count, params, raster, arena).sum())
@@ -449,8 +421,7 @@ def collect_pi_outcomes(config: ExperimentConfig,
     of the full estimating run.
     """
     stream = derive_stream(config.master_seed, StreamId("pi/scatter", 0))
-    return _pi_cells(stream, min(config.trials, limit), config.params["radius"],
-                     _pi_arena(config.params))
+    return _pi_cells(stream, min(config.trials, limit), config.params["radius"], config.model[0])
 
 
 # ---------------------------------------------------------------------------
@@ -697,18 +668,37 @@ def parse_function(spec: str) -> Callable[[object], np.ndarray]:
     return f
 
 
-def _function_span(params: dict) -> tuple[Callable, float, float]:
-    """``function_spec`` compiled, and its least and greatest value on
-    _EXTREMA_SAMPLES evenly spaced points of [a, b]."""
+def _build_integral(params: dict, raw: dict) -> tuple:
+    """(f, heights, y_low, y_high, reference, echo): ``function_spec``
+    compiled; the column heights as floats, None in continuous mode; the
+    box's height range, spanning 0, f on _EXTREMA_SAMPLES evenly spaced
+    points of [a, b] and the heights; the reference; and the reference's
+    params echo (the quadrature's error estimate and convergence)."""
+    a, b = params["a"], params["b"]
+    if not a < b:
+        raise ValueError("invalid value for 'b': bounds must satisfy a < b")
+    rasterized = params["raster_mode"] == "rasterized"
+    if rasterized and b - a > MAX_RASTER_COLUMNS:
+        raise ValueError(f"invalid value for 'b': rasterized mode takes at most "
+                         f"{MAX_RASTER_COLUMNS} columns (b - a)")
     f = parse_function(params["function_spec"])
-    values = f(np.linspace(params["a"], params["b"], _EXTREMA_SAMPLES))
-    return f, float(values.min()), float(values.max())
+    values = f(np.linspace(a, b, _EXTREMA_SAMPLES))
+    y_low = min(0.0, float(values.min()))
+    y_high = max(0.0, float(values.max()))
+    if not rasterized:
+        reference, abserr, converged = gauss_kronrod(f, a, b)
+        return (f, None, y_low, y_high, reference,
+                {"reference_abserr": abserr, "reference_converged": converged})
+    curve = rasterize_curve(f, a, b)
+    heights = np.asarray(curve.heights, dtype=float)
+    return (f, heights, min(y_low, float(heights.min())), max(y_high, float(heights.max())),
+            float(curve.signed_column_area()), {})
 
 
 def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Signed-area Monte Carlo for the integral of f over [a, b].
 
-    Points are uniform on [a, b] x [y_min, y_max]; the estimate is
+    Points are uniform on [a, b] x [y_low, y_high]; the estimate is
     (above-axis hits - below-axis hits) * box_area / trials.  In rasterized
     mode the curve is the block-column step function and the reference is
     the exact signed sum of column areas; in continuous mode the reference
@@ -716,27 +706,14 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
     error estimate and whether it converged within its interval budget.
     """
     params = dict(config.params)
-    f, f_low, f_high = _function_span(params)
+    f, heights, y_low, y_high, reference, echo = config.model
+    params.update(echo)
     a, b = params["a"], params["b"]
-    rasterized = params["raster_mode"] == "rasterized"
-    heights = None
-    y_low = min(0.0, f_low)
-    y_high = max(0.0, f_high)
-    if rasterized:
-        curve = rasterize_curve(f, a, b)
-        heights = np.asarray(curve.heights, dtype=float)
-        y_low = min(y_low, float(heights.min()))
-        y_high = max(y_high, float(heights.max()))
-        reference = float(curve.signed_column_area())
-    else:
-        reference, abserr, converged = gauss_kronrod(f, a, b)
-        params["reference_abserr"] = abserr
-        params["reference_converged"] = converged
 
-    if y_high == y_low:
-        # Only an identically-zero curve produces a flat box (the box always
-        # spans 0); nothing can land strictly above or below the axis, so
-        # the net estimate is exactly 0 and no sampling is needed.
+    if y_high == y_low or (heights is not None and not heights.any()):
+        # An identically-zero f (the only one with a flat box, which always
+        # spans 0) or all-zero columns: nothing can land strictly above or
+        # below the axis, so the net estimate is exactly 0, with no sampling.
         params["note"] = "flat zero curve; estimate exact"
         return _record("integral", 0.0, config.trials, 0, 0.0, (0.0, 0.0), reference,
                        config.master_seed, params)
@@ -747,7 +724,7 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
     def block(stream, count):
         xs = a + stream.float_block(count) * (b - a)
         ys = y_low + stream.float_block(count) * (y_high - y_low)
-        if rasterized:
+        if heights is not None:
             columns = np.clip(np.floor(xs).astype(np.int64) - a, 0, len(heights) - 1)
             curve_vals = heights[columns]
         else:
@@ -777,6 +754,22 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
 # sqrt(2)
 
 
+def _build_sqrt2(params: dict, raw: dict) -> tuple[float, float]:
+    """(leg_time, hyp_time) of the course, in continuous time.  Rejects a
+    course whose hypotenuse window, plus the start phase of up to one
+    period, reaches HOPPER_MAX_PERIODS timer periods."""
+    period = params["period"]
+    try:
+        leg_time, hyp_time = traversal_seconds(TriangleCourse(params["leg_blocks"],
+                                                              params["speed"]))
+    except OverflowError:
+        leg_time = hyp_time = math.inf
+    if (hyp_time + period) / period >= HOPPER_MAX_PERIODS:
+        raise ValueError("invalid value for 'speed': the hypotenuse takes 2**52 or more "
+                         "timer periods at this speed")
+    return leg_time, hyp_time
+
+
 def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Diagonal-course timing experiment: estimate = hyp_items / leg_items.
 
@@ -785,10 +778,8 @@ def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord
     uniform in [0, period), modelling a timer that was already running.
     """
     params = dict(config.params)
-    course = TriangleCourse(leg_blocks=params["leg_blocks"],
-                            speed_blocks_per_second=params["speed"])
+    leg_time, hyp_time = config.model
     timer = HopperTimer(period_seconds=params["period"])
-    leg_time, hyp_time = traversal_seconds(course)
     if params["random_start_phase"]:
         stream = derive_stream(config.master_seed, StreamId("sqrt2", 0))
         leg_phase = stream.next_float() * timer.period_seconds
@@ -844,7 +835,7 @@ def estimate_from_counts(variant: str, counts: tuple[int, int], *, m: int = 3,
     raw = {"counts": counts}
     if reported_decimals is not None:
         raw["reported_decimals"] = reported_decimals
-    params = resolve_params(variant, raw)
+    params, _ = resolve_params(variant, raw)
     if "m" in params:  # a replay table that takes m: zeta's
         params["m"] = VARIANTS[variant].replay.params["m"].coerce("m", m)
     return _replay(variant, params)
@@ -871,14 +862,15 @@ def _replay(variant: str, params: dict) -> EstimateRecord:
 @dataclass(frozen=True)
 class Variant:
     """One variant: ``sample(config, workers=1)`` runs it; ``params`` is its
-    parameter table, in params-echo order; ``check(params, raw)``, if any, runs
-    after coercion, rejects what no single field can and may fill a default
-    that depends on another field; ``replay`` is None if its counts cannot
-    be replayed."""
+    parameter table, in params-echo order; ``build(params, raw)``, if any,
+    runs after coercion, rejects what no single field can, may fill a
+    default that depends on another field, and returns the model the
+    sampler reads as ``config.model``; ``replay`` is None if its counts
+    cannot be replayed."""
 
     sample: Callable
     params: dict[str, Param]
-    check: Callable[[dict, dict], None] | None = None
+    build: Callable[[dict, dict], object] | None = None
     replay: Replay | None = None
 
 
@@ -888,7 +880,7 @@ VARIANTS: dict[str, Variant] = {
         "speed": Param("float", DEFAULT_WALK_SPEED, above=0),
         "period": Param("float", HOPPER_PERIOD_SECONDS, above=0),
         "random_start_phase": Param("bool", False),
-    }, _check_hopper_windows,
+    }, _build_sqrt2,
         Replay(4, True, _quotient_record, _REPLAY_PARAMS, ("hyp_items", "leg_items"))),
     "pi": Variant(estimate_pi, {
         # Beyond 2^30 the int64 disc test x^2 + z^2 <= r^2 could overflow.
@@ -903,7 +895,7 @@ VARIANTS: dict[str, Variant] = {
         # block takes seconds, at 1e-9 a run would take days.
         "kill_probability": Param("float", 0.05, minimum=1e-3, maximum=1),
         "drift": Param("pair", (0.0, 0.0)),  # slime_walk_drift: (0.3, -0.3)
-    }, _check_pi, Replay(3, False, _pi_record, _REPLAY_PARAMS, ("inside", "total"))),
+    }, _build_pi, Replay(3, False, _pi_record, _REPLAY_PARAMS, ("inside", "total"))),
     "e": Variant(estimate_e, {
         "permutation_size": Param("int", DROPPER_MAX_SLOTS, minimum=2,
                                   maximum=DROPPER_MAX_SLOTS),
@@ -930,7 +922,7 @@ VARIANTS: dict[str, Variant] = {
         "a": Param("int", 0, minimum=-2 ** 53, maximum=2 ** 53),
         "b": Param("int", 8, minimum=-2 ** 53, maximum=2 ** 53),
         "raster_mode": Param("choice", "continuous", choices=("continuous", "rasterized")),
-    }, _check_integral),
+    }, _build_integral),
 }
 
 # run_config dispatches through this dict at call time, so a wrapper put

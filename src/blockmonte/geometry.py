@@ -119,8 +119,13 @@ def raster_to_text(raster: CircleRaster, fill: str = "#", empty: str = ".",
 
 
 def round_half_away_from_zero(value):
-    """Round to the nearest whole number, elementwise; halves go away from zero."""
-    return np.where(value >= 0, np.floor(value + 0.5), np.ceil(value - 0.5))
+    """Round to the nearest whole number, elementwise; halves go away from zero.
+
+    Decided on the exact fraction value - trunc(value): adding 0.5 first
+    would round, taking 0.49999999999999994 to 1 and odd values past 2^52 up.
+    """
+    whole = np.trunc(value)
+    return np.where(np.abs(value - whole) >= 0.5, whole + np.sign(value), whole)
 
 
 @dataclass(frozen=True)

@@ -225,15 +225,10 @@ _INSIDE_COLOR = "#1f77b4"
 _OUTSIDE_COLOR = "#d62728"
 
 
-def emit_scatter(xs: np.ndarray, zs: np.ndarray, raster: CircleRaster, path,
-                 counts: tuple[int, int] | None = None) -> Path:
+def emit_scatter(xs: np.ndarray, zs: np.ndarray, raster: CircleRaster, path) -> Path:
     """Write an SVG: arena square, raster circle outline, one dot per death
     cell (xs[i], zs[i]) colored by raster membership, and a caption with
-    the 4*inside/total arithmetic.
-
-    ``counts`` substitutes recorded (inside, total) tallies in the caption,
-    for replaying tallies whose individual dots were never kept.
-    """
+    the 4*inside/total arithmetic."""
     if len(xs) == 0:
         raise ValueError("xs and zs must be non-empty")
     path = Path(path)
@@ -257,8 +252,7 @@ def emit_scatter(xs: np.ndarray, zs: np.ndarray, raster: CircleRaster, path,
     cells_z += z0
     inside = raster.contains_cells(cells_x, cells_z)
     inside_count = int(inside[slot].sum())
-    caption_inside, caption_total = counts if counts is not None else (inside_count, len(xs))
-    estimate = 4.0 * caption_inside / caption_total
+    estimate = 4.0 * inside_count / len(xs)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size + 2 * scale}" '
@@ -275,7 +269,7 @@ def emit_scatter(xs: np.ndarray, zs: np.ndarray, raster: CircleRaster, path,
             f'fill="{_INSIDE_COLOR if hit else _OUTSIDE_COLOR}"/>'
             for x, z, hit in zip(cells_x.tolist(), cells_z.tolist(), inside.tolist())]
     parts.extend(dots[i] for i in slot.tolist())
-    caption = f"4 · {caption_inside}/{caption_total} = {_caption_value(estimate)}"
+    caption = f"4 · {inside_count}/{len(xs)} = {_caption_value(estimate)}"
     parts.append(f'<text x="{scale}" y="{size + scale}" font-family="monospace" '
                  f'font-size="{max(10, scale)}">{caption}</text>')
     parts.append("</svg>")

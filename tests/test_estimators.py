@@ -550,11 +550,11 @@ class TestIntegral:
 
     def test_pole_at_a_quadrature_node_is_named_without_a_warning(self):
         # The grid misses x = 4; the middle node of the first Kronrod rule
-        # on [0, 8] does not, so this one is found when the section runs.
+        # on [0, 8] does not, and the quadrature runs when the config is built.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="'function_spec': not finite at x = 4.0"):
-                run_config(config("integral", trials=100, function_spec="1/(x-4)"))
+                config("integral", trials=100, function_spec="1/(x-4)")
 
     def test_box_area_past_the_largest_float_is_degenerate(self):
         with pytest.raises(DegenerateRegionError, match="box area"):  # before any trial
@@ -693,14 +693,18 @@ class TestDeterminism:
         ("sec_tan", {"max_size": "4"}),
         ("integral", {"raster_mode": "rasterized"}),
         ("zeta", {"counts": "70,58", "m": "4"}),
+        ("integral", {}),
+        ("pi", {"sampler_mode": "slime_walk", "radius": "8"}),
     ])
     def test_one_config_run_twice_keeps_its_resolved_params(self, variant, params,
                                                             monkeypatch):
         cfg = config(variant, seed=5, trials=2000, **params)
         resolved = copy.deepcopy(cfg.params)
-        # the params were resolved when the config was built; running it
-        # resolves nothing again
-        monkeypatch.setattr(estimators, "resolve_params", None)
+        # the params were resolved and the devices built when the config
+        # was built; running it resolves and builds nothing again
+        for name in ("resolve_params", "parse_function", "gauss_kronrod", "rasterize_curve",
+                     "rasterize_circle", "SlimeArena", "TriangleCourse", "traversal_seconds"):
+            monkeypatch.setattr(estimators, name, None)
         first = run_config(cfg)
         assert cfg.params == resolved
         assert run_config(cfg) == first

@@ -160,6 +160,8 @@ class TestRounding:
     @pytest.mark.parametrize("value,expected", [
         (0.5, 1), (1.5, 2), (2.5, 3), (2.4, 2), (2.6, 3),
         (-0.5, -1), (-1.5, -2), (-2.4, -2), (0.0, 0),
+        (0.49999999999999994, 0), (-0.49999999999999994, 0),
+        (4503599627370497.0, 4503599627370497), (-4503599627370497.0, -4503599627370497),
     ])
     def test_half_away_from_zero(self, value, expected):
         assert round_half_away_from_zero(value) == expected
