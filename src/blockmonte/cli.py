@@ -19,7 +19,8 @@ from .errors import DegenerateResultError
 from .estimators import VARIANTS, ExperimentConfig, run_config
 from .geometry import archimedes_bounds, raster_to_text, rasterize_circle
 from .numtheory import coprime_probability_exact, euler_product_partial, zeta_partial
-from .runner import RunManifest, load_manifest, parse_formats, report_row, run_experiment
+from .runner import (SCATTER_RADIUS_LIMIT, RunManifest, load_manifest, parse_formats,
+                     report_row, run_experiment)
 
 SEED_ENV_VAR = "BLOCKMONTE_SEED"
 
@@ -151,6 +152,8 @@ def _print_records(run_id: str, records: list, started: float, where: str = "") 
 
 
 def _cmd_raster(args) -> int:
+    if args.radius > SCATTER_RADIUS_LIMIT:
+        raise ValueError(f"invalid value for 'radius': must be <= {SCATTER_RADIUS_LIMIT}")
     text = raster_to_text(rasterize_circle(args.radius), outline_only=args.outline)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:

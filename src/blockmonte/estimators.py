@@ -14,7 +14,7 @@ import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -63,16 +63,18 @@ MAX_RASTER_COLUMNS = 100_000
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """``variant_params`` is read once, by ``resolve_params``; the config keeps,
+    compares and prints only the resolved ``params``: read them, never mutate them."""
+
     variant: str
     master_seed: int = 0
     trials: int = 10_000
-    variant_params: dict = field(default_factory=dict)
-    # variant_params resolved once, at construction: read it, never mutate it
-    params: dict = field(init=False, repr=False, compare=False)
+    variant_params: InitVar[dict | None] = None
+    params: dict = field(init=False)
     # what the variant's build made for its sampler (None: replay, no build)
     model: object = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, variant_params: dict | None) -> None:
         for key, value in (("seed", self.master_seed), ("trials", self.trials)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"invalid value for '{key}': {value!r} is not an integer")
@@ -80,7 +82,7 @@ class ExperimentConfig:
             raise ValueError("invalid value for 'seed': must be an unsigned 64-bit integer")
         if self.trials < 1:
             raise ValueError("invalid value for 'trials': must be >= 1")
-        params, model = resolve_params(self.variant, self.variant_params)
+        params, model = resolve_params(self.variant, variant_params or {})
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "model", model)
 
@@ -187,7 +189,7 @@ def _quotient_record(hyp_items: int, leg_items: int, seed: int | None,
 class Param:
     """One entry of a variant's parameter table.
 
-    ``kind`` is int, float, bool, choice, str or pair (two ``item`` values).
+    ``kind`` is int, float, bool, choice, str or pair (a list of two ``item`` values).
     Bounds are inclusive (``minimum``, ``maximum``) or exclusive (``above``);
     a pair's bounds apply to each of its values.  Defaults are used as given.
     """
@@ -210,7 +212,7 @@ class Param:
             first, second = parts
         except (TypeError, ValueError):
             raise ValueError(f"invalid value for '{name}': {raw!r} is not a pair") from None
-        return self._scalar(name, self.item, first), self._scalar(name, self.item, second)
+        return [self._scalar(name, self.item, first), self._scalar(name, self.item, second)]
 
     def _scalar(self, name: str, kind: str, raw):
         def bad(why: str) -> ValueError:
@@ -269,18 +271,15 @@ def resolve_params(variant: str, raw: dict) -> tuple[dict, object]:
                 name for name, other in VARIANTS.items() if other.replay is not None))
         return _coerce_table(variant, entry.replay.params, raw), None
     params = _coerce_table(variant, entry.params, raw)
-    return params, entry.build(params, raw) if entry.build is not None else None
+    return params, entry.build(params) if entry.build is not None else None
 
 
 def _coerce_table(variant: str, table: dict[str, Param], raw: dict) -> dict:
     for key in raw:
         if key not in table:
             raise ValueError(f"unknown parameter '{key}' for variant '{variant}'")
-    params = {}
-    for name, entry in table.items():
-        value = entry.coerce(name, raw[name]) if name in raw else entry.default
-        params[name] = list(value) if isinstance(value, tuple) else value
-    return params
+    return {name: entry.coerce(name, raw[name]) if name in raw else entry.default
+            for name, entry in table.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +331,16 @@ def _flagged_orders(dropper: Dropper, flags: np.ndarray) -> Callable:
 # pi
 
 
-def _build_pi(params: dict, raw: dict) -> tuple[SlimeArena | None, object]:
+def _build_pi(params: dict) -> tuple[SlimeArena | None, object]:
     """(arena, raster) of a pi run: the slime arena, None for uniform_ideal,
-    and the circle raster, None for exact_disc.  slime_walk_drift defaults
-    its drift to (0.3, -0.3); no other sampler takes one.  Building the
-    arena here runs its reach rule (step plus drift below the square side)
-    before any trial."""
-    if params["sampler_mode"] == "slime_walk_drift":
-        if "drift" not in raw:
-            params["drift"] = [0.3, -0.3]
-    elif params["drift"] != [0.0, 0.0]:
+    and the circle raster, None for exact_disc.  An unset drift becomes
+    (0.3, -0.3) for slime_walk_drift and (0, 0) otherwise; no other sampler
+    takes a non-zero one.  Building the arena here runs its reach rule
+    (step plus drift below the square side) before any trial."""
+    drifting = params["sampler_mode"] == "slime_walk_drift"
+    if params["drift"] is None:
+        params["drift"] = [0.3, -0.3] if drifting else [0.0, 0.0]
+    elif not drifting and params["drift"] != [0.0, 0.0]:
         raise ValueError("invalid value for 'drift': only slime_walk_drift accepts a bias")
     arena = None
     if params["sampler_mode"] != "uniform_ideal":
@@ -668,7 +667,7 @@ def parse_function(spec: str) -> Callable[[object], np.ndarray]:
     return f
 
 
-def _build_integral(params: dict, raw: dict) -> tuple:
+def _build_integral(params: dict) -> tuple:
     """(f, heights, y_low, y_high, reference, echo): ``function_spec``
     compiled; the column heights as floats, None in continuous mode; the
     box's height range, spanning 0, f on _EXTREMA_SAMPLES evenly spaced
@@ -754,7 +753,7 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
 # sqrt(2)
 
 
-def _build_sqrt2(params: dict, raw: dict) -> tuple[float, float]:
+def _build_sqrt2(params: dict) -> tuple[float, float]:
     """(leg_time, hyp_time) of the course, in continuous time.  Rejects a
     course whose hypotenuse window, plus the start phase of up to one
     period, reaches HOPPER_MAX_PERIODS timer periods."""
@@ -833,12 +832,11 @@ def estimate_from_counts(variant: str, counts: tuple[int, int], *, m: int = 3,
     experiment's original display convention.
     """
     raw = {"counts": counts}
+    if variant == "zeta":
+        raw["m"] = m
     if reported_decimals is not None:
         raw["reported_decimals"] = reported_decimals
-    params, _ = resolve_params(variant, raw)
-    if "m" in params:  # a replay table that takes m: zeta's
-        params["m"] = VARIANTS[variant].replay.params["m"].coerce("m", m)
-    return _replay(variant, params)
+    return run_config(ExperimentConfig(variant, variant_params=raw))
 
 
 def _replay(variant: str, params: dict) -> EstimateRecord:
@@ -862,15 +860,15 @@ def _replay(variant: str, params: dict) -> EstimateRecord:
 @dataclass(frozen=True)
 class Variant:
     """One variant: ``sample(config, workers=1)`` runs it; ``params`` is its
-    parameter table, in params-echo order; ``build(params, raw)``, if any,
-    runs after coercion, rejects what no single field can, may fill a
-    default that depends on another field, and returns the model the
-    sampler reads as ``config.model``; ``replay`` is None if its counts
-    cannot be replayed."""
+    parameter table, in params-echo order; ``build(params)``, if any, runs
+    after coercion on the coerced params alone, rejects what no single
+    field can, may fill an unset (None) default that depends on another
+    field, and returns the model the sampler reads as ``config.model``;
+    ``replay`` is None if its counts cannot be replayed."""
 
     sample: Callable
     params: dict[str, Param]
-    build: Callable[[dict, dict], object] | None = None
+    build: Callable[[dict], object] | None = None
     replay: Replay | None = None
 
 
@@ -894,7 +892,7 @@ VARIANTS: dict[str, Variant] = {
         # without bound as the probability nears 0: at 1e-3 a 65,536-walker
         # block takes seconds, at 1e-9 a run would take days.
         "kill_probability": Param("float", 0.05, minimum=1e-3, maximum=1),
-        "drift": Param("pair", (0.0, 0.0)),  # slime_walk_drift: (0.3, -0.3)
+        "drift": Param("pair"),  # unset: (0.3, -0.3) for slime_walk_drift, else (0, 0)
     }, _build_pi, Replay(3, False, _pi_record, _REPLAY_PARAMS, ("inside", "total"))),
     "e": Variant(estimate_e, {
         "permutation_size": Param("int", DROPPER_MAX_SLOTS, minimum=2,

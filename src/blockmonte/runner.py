@@ -40,6 +40,7 @@ SCATTER_DOT_LIMIT = 10_000
 
 # The scatter plot draws one <rect> per outline cell, about 5.65 per unit of
 # radius: about 23k rects at this radius, and an unbounded file beyond it.
+# `raster circle` takes the same bound: its text is (2r + 1)^2 = 67M bytes at it.
 SCATTER_RADIUS_LIMIT = 4096
 
 
@@ -136,13 +137,11 @@ def run_experiment(manifest: RunManifest) -> list[EstimateRecord]:
 
 
 def _failed_record(config: ExperimentConfig, reason: str) -> EstimateRecord:
-    params = {str(k): str(v) for k, v in config.variant_params.items()}
-    params["failed"] = reason
     return EstimateRecord(
         variant=config.variant, estimate=None, trials_used=config.trials,
         success_count=None, stderr=None, ci_low=None, ci_high=None,
         reference=None, relative_error_percent=None,
-        seed=config.master_seed, params=params)
+        seed=config.master_seed, params={**config.params, "failed": reason})
 
 
 def report_row(run_id: str, record: EstimateRecord) -> dict:

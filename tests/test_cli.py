@@ -129,6 +129,16 @@ class TestReports:
         assert "failed" in records[0].params
         assert records[1].estimate is not None
 
+    def test_failed_row_echoes_the_resolved_params(self, tmp_path):
+        body = ("[run]\nrun_id = bad\noutput_dir = {out}\nformats = jsonl\n\n"
+                "[e]\nvariant = e\nseed = 1\ntrials = 1\npermutation_size = 2\n").format(
+                    out=tmp_path / "out")
+        run_experiment(load_manifest(write_manifest(tmp_path / "e.ini", body)))
+        row = json.loads((tmp_path / "out" / "bad.jsonl").read_text())
+        assert row["params"] == {
+            "permutation_size": 2,
+            "failed": "no derangements observed; cannot form trials/derangements"}
+
     def test_svg_written_for_pi_configs(self, tmp_path):
         out = tmp_path / "sv"
         manifest = RunManifest(
@@ -447,6 +457,13 @@ class TestCommandLine:
     def test_raster_circle_text(self, capsys):
         assert cli.main(["raster", "circle", "--radius", "2", "--txt"]) == 0
         assert capsys.readouterr().out == "..#..\n.###.\n#####\n.###.\n..#..\n"
+
+    def test_raster_circle_past_the_radius_limit_exits_two_before_building(
+            self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "rasterize_circle", None)  # any raster would fail loudly
+        radius = str(runner.SCATTER_RADIUS_LIMIT + 1)
+        assert cli.main(["raster", "circle", "--radius", radius]) == 2
+        assert "'radius'" in capsys.readouterr().err
 
     def test_raster_outline(self, capsys):
         assert cli.main(["raster", "circle", "--radius", "2", "--outline"]) == 0

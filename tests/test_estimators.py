@@ -150,6 +150,21 @@ class TestConfigValidation:
                                     raster_mode="raster", sampler_mode="uniform_ideal"))
         assert record.params["radius"] == 11
 
+    def test_config_keeps_only_its_resolved_params(self):
+        given_text, given_int = config("pi", radius="50"), config("pi", radius=50)
+        assert given_text == given_int
+        assert repr(given_text) == repr(given_int)
+        assert "variant_params" not in vars(given_text)
+
+    @pytest.mark.parametrize("sampler_mode, drift", [
+        ("uniform_ideal", [0.0, 0.0]),
+        ("slime_walk", [0.0, 0.0]),
+        ("slime_walk_drift", [0.3, -0.3]),
+    ])
+    def test_unset_drift_is_filled_by_the_sampler(self, sampler_mode, drift):
+        assert config("pi", sampler_mode=sampler_mode).params["drift"] == drift
+        assert config("pi", sampler_mode=sampler_mode, drift="0,0").params["drift"] == [0.0, 0.0]
+
 
 class TestRegistry:
     def test_dispatch_replay_and_cli_read_the_registry(self):
@@ -180,7 +195,9 @@ class TestRegistry:
             param = estimators.VARIANTS[variant].params[key]
             assert kind == (f"pair of {param.item}s" if param.kind == "pair" else param.kind)
             default = default.split(" (")[0]
-            if param.kind == "float":
+            if default == "unset":
+                assert param.default is None, key
+            elif param.kind == "float":
                 assert float(Fraction(default)) == param.default, key
             else:
                 assert param.coerce(key, default) == param.default, key
