@@ -322,7 +322,8 @@ def _flagged_orders(dropper: Dropper, flags: np.ndarray) -> Callable:
     threads only read the shared table.
     """
     def block(stream, count):
-        return int(np.count_nonzero(flags[dropper_rank_block(dropper, stream, count)]))
+        # take is a few percent faster than flags[ranks]
+        return int(np.count_nonzero(flags.take(dropper_rank_block(dropper, stream, count))))
 
     return block
 
@@ -404,7 +405,7 @@ def estimate_pi(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     arena, raster = config.model
 
     def block(stream, count):
-        return int(_pi_inside_mask(stream, count, params, raster, arena).sum())
+        return int(np.count_nonzero(_pi_inside_mask(stream, count, params, raster, arena)))
 
     [inside] = _map_blocks(config.master_seed, [("pi", config.trials, block)], workers)
     return _pi_record(inside, config.trials, config.master_seed, params)
@@ -495,7 +496,7 @@ def _table_coprime(values: np.ndarray, table: np.ndarray) -> int:
 
 
 def _chained_gcd_coprime(values: np.ndarray) -> int:
-    if values.max() < 2 ** 31:
+    if values.dtype == np.int64 and values.max() < 2 ** 31:
         values = values.astype(np.int32)  # the int32 gcd is faster
     common = values[:, 0]
     for column in range(1, values.shape[1]):
@@ -524,9 +525,13 @@ def estimate_zeta(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     table = _gcd_table() if not uniform or params["value_bound"] < GCD_TABLE_SIDE else None
     if uniform:
         bound = params["value_bound"]
+        # int32 below 2^31, where 1 can be added in place, feeds the int32 gcd as drawn
+        dtype = np.int32 if bound < 2 ** 31 else np.int64
 
         def block(stream, count):
-            return _coprime_rows(stream.int_below_block(bound, (count, m)) + 1, table)
+            values = stream.int_below_block(bound, (count, m), dtype)
+            values += 1
+            return _coprime_rows(values, table)
     else:
         sched = RandomTickScheduler(speed_multiplier=params["speed_multiplier"])
         growth = params["growth_prob"]
@@ -601,6 +606,21 @@ _SPEC_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load,
 
 _EXTREMA_SAMPLES = 10_000
 
+# A continuous integral's u in [0, 1) falls in bin int(u * ENCLOSURE_BINS),
+# exactly, as the bin count is a power of two; the build bounds f on each bin.
+ENCLOSURE_BINS = 1 << 12
+
+# Every enclosure node widens its bounds outward by this share of their
+# larger magnitude, far above numpy's few-ulp error, plus the smallest normal.
+_ENCLOSURE_RTOL = 2.0 ** -40
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+# The increasing functions (arccos decreases).  Their domains are intervals,
+# so an argument interval leaves a domain only at an end, where numpy gives
+# nan or an infinity (log(0) = -inf), which bounds nothing.
+_INCREASING = frozenset({"arctan", "sinh", "tanh", "exp", "cbrt", "floor", "ceil", "sqrt",
+                         "log", "log2", "log10", "arcsin"})
+
 
 def _spec_error(why) -> ValueError:
     return ValueError(f"invalid value for 'function_spec': {why}")
@@ -624,6 +644,131 @@ def _unexpected(node: ast.AST) -> str | None:
     return f"{type(node).__name__} is not allowed"
 
 
+# ---------------------------------------------------------------------------
+# enclosures: interval arithmetic over the checked tree (Moore, Kearfott and
+# Cloud, Introduction to Interval Analysis, SIAM 2009).  Each node bounds the
+# values f's own numpy evaluation takes, given its operands' bounds, then
+# widens outward to absorb the rounding of both; a bound pair is finite or
+# (-inf, inf), which bounds nothing, and an unbounded operand leaves its
+# node unbounded.
+
+
+def _outward(lower, upper, *operands):
+    """[lower, upper] widened outward; (-inf, inf) where a bound is not
+    finite after widening (overflow, nan) or an operand is unbounded."""
+    margin = np.maximum(np.abs(lower), np.abs(upper)) * _ENCLOSURE_RTOL + _SMALLEST_NORMAL
+    lower = lower - margin
+    upper = upper + margin
+    bounded = np.isfinite(lower) & np.isfinite(upper)
+    for operand_lower, _ in operands:
+        bounded &= np.isfinite(operand_lower)
+    return np.where(bounded, lower, -np.inf), np.where(bounded, upper, np.inf)
+
+
+def _crosses(lower, upper, phase: float, period: float) -> np.ndarray:
+    """Where [lower, upper] may hold a point phase + k * period, k whole; the
+    slack, far above the rounding of (x - phase) / period, counts a point
+    near either end as inside."""
+    t_lower = (lower - phase) / period
+    t_upper = (upper - phase) / period
+    slack = (1.0 + np.abs(t_lower) + np.abs(t_upper)) * _ENCLOSURE_RTOL
+    return np.floor(t_upper + slack) >= np.ceil(t_lower - slack)
+
+
+def _even_bounds(fn, lower, upper) -> tuple:
+    """Bounds of an even fn that grows with |x|: abs, cosh, even powers."""
+    at_lower, at_upper = fn(lower), fn(upper)
+    least = np.where(lower >= 0, at_lower,
+                     np.where(upper <= 0, at_upper, fn(np.zeros_like(lower))))
+    return least, np.maximum(at_lower, at_upper)
+
+
+def _whole_exponent(node: ast.AST) -> float | None:
+    """n of ``base ** n`` when n is a whole-number constant, signed or not."""
+    sign = 1.0
+    if isinstance(node, ast.UnaryOp):
+        sign = -1.0 if isinstance(node.op, ast.USub) else 1.0
+        node = node.operand
+    if isinstance(node, ast.Constant) and float(node.value).is_integer():
+        return sign * node.value
+    return None
+
+
+def _call_bounds(name: str, lower, upper) -> tuple:
+    """Bounds of name(v) for v in [lower, upper], before widening."""
+    fn = _FUNCTION_NAMESPACE[name]
+    if name in _INCREASING:
+        return fn(lower), fn(upper)
+    if name == "arccos":
+        return fn(upper), fn(lower)
+    if name in ("abs", "cosh"):
+        return _even_bounds(fn, lower, upper)
+    at_lower, at_upper = fn(lower), fn(upper)
+    if name == "tan":  # increasing within one branch, between two poles
+        pole = _crosses(lower, upper, np.pi / 2, np.pi)
+        return np.where(pole, np.nan, at_lower), np.where(pole, np.nan, at_upper)
+    # sin and cos: the end values, or +-1 where a peak or trough may lie inside
+    peak = np.pi / 2 if name == "sin" else 0.0
+    return (np.where(_crosses(lower, upper, peak + np.pi, 2 * np.pi), -1.0,
+                     np.minimum(at_lower, at_upper)),
+            np.where(_crosses(lower, upper, peak, 2 * np.pi), 1.0,
+                     np.maximum(at_lower, at_upper)))
+
+
+def _power_bounds(lower, upper, n: float) -> tuple:
+    """Bounds of v ** n for v in [lower, upper], n whole, before widening."""
+    k = abs(n)
+    if k % 2:
+        bounds = np.power(lower, k), np.power(upper, k)
+    else:
+        bounds = _even_bounds(lambda v: np.power(v, k), lower, upper)
+    if n < 0:  # the reciprocal of a zero-free power
+        least, most = bounds
+        zero_free = (least > 0) | (most < 0)
+        bounds = np.where(zero_free, 1.0 / most, np.nan), np.where(zero_free, 1.0 / least, np.nan)
+    return bounds
+
+
+def _enclosure(node: ast.AST, lower, upper) -> tuple:
+    """Bounds on the values f's evaluation of ``node`` takes at the x in
+    [lower, upper], elementwise over the finite arrays lower and upper."""
+    if isinstance(node, ast.Name) and node.id == "x":
+        return lower, upper
+    if isinstance(node, ast.UnaryOp):
+        least, most = _enclosure(node.operand, lower, upper)
+        return (-most, -least) if isinstance(node.op, ast.USub) else (least, most)
+    value = node.value if isinstance(node, ast.Constant) else _FUNCTION_NAMESPACE.get(
+        getattr(node, "id", None))
+    if isinstance(value, float):  # a number, pi or e: exact, unless it is inf
+        bound = np.full_like(lower, value)
+        return (bound, bound) if math.isfinite(value) else _outward(bound, bound)
+    operands, bounds = (), (np.full_like(lower, np.nan),) * 2
+    if isinstance(node, ast.Call):
+        operands = (_enclosure(node.args[0], lower, upper),)
+        bounds = _call_bounds(node.func.id, *operands[0])
+    elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+          and (n := _whole_exponent(node.right)) is not None):
+        operands = (_enclosure(node.left, lower, upper),)
+        bounds = _power_bounds(*operands[0], n)
+    elif isinstance(node, ast.BinOp) and isinstance(node.op,
+                                                    (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+        operands = (_enclosure(node.left, lower, upper), _enclosure(node.right, lower, upper))
+        (l1, u1), (l2, u2) = operands
+        if isinstance(node.op, ast.Add):
+            bounds = l1 + l2, u1 + u2
+        elif isinstance(node.op, ast.Sub):
+            bounds = l1 - u2, u1 - l2
+        else:
+            op = np.multiply if isinstance(node.op, ast.Mult) else np.divide
+            ends = np.array([op(l1, l2), op(l1, u2), op(u1, l2), op(u1, u2)])
+            bounds = ends.min(axis=0), ends.max(axis=0)
+            if isinstance(node.op, ast.Div):  # a divisor that may be 0 bounds nothing
+                zero_free = (l2 > 0) | (u2 < 0)
+                bounds = tuple(np.where(zero_free, bound, np.nan) for bound in bounds)
+    # //, %, other powers and any node without a rule stay at nan: unbounded
+    return _outward(*bounds, *operands)
+
+
 def parse_function(spec: str) -> Callable[[object], np.ndarray]:
     """Compile a one-variable expression such as ``x**2*sin(x) + cbrt(x)``.
 
@@ -633,7 +778,11 @@ def parse_function(spec: str) -> Callable[[object], np.ndarray]:
     evaluator of a function_spec: f(x) computes on np.asarray(x, dtype=float),
     warnings off, a float array of x's shape; it raises ValueError naming
     function_spec on an ArithmeticError or TypeError (a complex value is
-    one), or on a value that is not finite.
+    one), or on a value that is not finite.  ``f.enclose(lower, upper)``
+    returns bounds (L, U), elementwise over float arrays, on every value f
+    computes at an x in [lower, upper]; (-inf, inf) where it finds none, as
+    for // and %, powers other than whole constants, poles and points out of
+    a function's domain, where f may not be finite.
     """
     try:
         tree = ast.parse(spec, mode="eval")
@@ -664,13 +813,33 @@ def parse_function(spec: str) -> Callable[[object], np.ndarray]:
             raise _spec_error(f"not finite at x = {float(x[~finite][0])!r}")
         return values
 
+    def enclose(lower, upper) -> tuple[np.ndarray, np.ndarray]:
+        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+        try:
+            with np.errstate(all="ignore"):
+                return _enclosure(tree.body, lower, upper)
+        except RecursionError:  # a tree nested too deeply to walk bounds nothing
+            return np.full_like(lower, -np.inf), np.full_like(lower, np.inf)
+
+    f.enclose = enclose
     return f
 
 
+def _bin_bounds(f, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """f's enclosure on each of the ENCLOSURE_BINS bins of u.  The sampler's
+    x = a + u * (b - a) rounds monotonically in u, so a bin's x lie between
+    its edges computed the same way, with a few ulps of max(|a|, |b|) to
+    spare; no x is below a, which keeps sqrt(x) bounded on [0, b]."""
+    edges = a + np.arange(ENCLOSURE_BINS + 1) / ENCLOSURE_BINS * (b - a)
+    spare = 4 * np.spacing(float(max(abs(a), abs(b))))
+    return f.enclose(np.maximum(edges[:-1] - spare, a), edges[1:] + spare)
+
+
 def _build_integral(params: dict) -> tuple:
-    """(f, heights, y_low, y_high, reference, echo): ``function_spec``
+    """(f, heights, bands, y_low, y_high, reference, echo): ``function_spec``
     compiled; the column heights as floats, None in continuous mode; the
-    box's height range, spanning 0, f on _EXTREMA_SAMPLES evenly spaced
+    (L, U) bounds of f per bin of u (_bin_bounds), None in rasterized mode;
+    the box's height range, spanning 0, f on _EXTREMA_SAMPLES evenly spaced
     points of [a, b] and the heights; the reference; and the reference's
     params echo (the quadrature's error estimate and convergence)."""
     a, b = params["a"], params["b"]
@@ -686,12 +855,39 @@ def _build_integral(params: dict) -> tuple:
     y_high = max(0.0, float(values.max()))
     if not rasterized:
         reference, abserr, converged = gauss_kronrod(f, a, b)
-        return (f, None, y_low, y_high, reference,
+        return (f, None, _bin_bounds(f, a, b), y_low, y_high, reference,
                 {"reference_abserr": abserr, "reference_converged": converged})
     curve = rasterize_curve(f, a, b)
     heights = np.asarray(curve.heights, dtype=float)
-    return (f, heights, min(y_low, float(heights.min())), max(y_high, float(heights.max())),
-            float(curve.signed_column_area()), {})
+    return (f, heights, None, min(y_low, float(heights.min())),
+            max(y_high, float(heights.max())), float(curve.signed_column_area()), {})
+
+
+def _signed_hits(ys: np.ndarray, curve: np.ndarray) -> np.ndarray:
+    """[above, below]: how many ys have 0 < y <= curve, and curve <= y < 0."""
+    hit = np.greater(ys, 0)
+    buffer = np.less_equal(ys, curve)
+    hit &= buffer
+    above = np.count_nonzero(hit)
+    np.less(ys, 0, out=hit)
+    np.greater_equal(ys, curve, out=buffer)
+    hit &= buffer
+    return np.array([above, np.count_nonzero(hit)], dtype=np.int64)
+
+
+def _banded_hits(f, bands: tuple, a: int, b: int, u: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``_signed_hits(ys, f(a + u * (b - a)))``, calling f only on the points
+    whose y lies within f's bounds on their bin (``_bin_bounds``).  A point
+    of a bin f is unbounded on is always among them, so a non-finite f
+    raises naming the same first x."""
+    bins = np.multiply(u, ENCLOSURE_BINS).astype(np.intp)
+    under = ys < bands[0].take(bins)  # y < f: a hit above the axis iff y > 0
+    over = ys > bands[1].take(bins)  # y > f: a hit below the axis iff y < 0
+    settled = np.array([np.count_nonzero(under & (ys > 0)),
+                        np.count_nonzero(over & (ys < 0))], dtype=np.int64)
+    under |= over
+    rest = np.flatnonzero(~under)
+    return settled + _signed_hits(ys[rest], f(a + u[rest] * (b - a)))
 
 
 def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
@@ -703,9 +899,11 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
     the exact signed sum of column areas; in continuous mode the reference
     comes from adaptive Gauss-Kronrod quadrature, and the params echo its
     error estimate and whether it converged within its interval budget.
+    A continuous block calls f only on the points that f's bounds on their
+    bin cannot settle (``_banded_hits``), with the same counts and errors.
     """
     params = dict(config.params)
-    f, heights, y_low, y_high, reference, echo = config.model
+    f, heights, bands, y_low, y_high, reference, echo = config.model
     params.update(echo)
     a, b = params["a"], params["b"]
 
@@ -721,16 +919,19 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
         raise DegenerateRegionError("sampling box area is not finite")
 
     def block(stream, count):
-        xs = a + stream.float_block(count) * (b - a)
-        ys = y_low + stream.float_block(count) * (y_high - y_low)
+        u = stream.float_block(count)
+        ys = stream.float_block(count)  # y_low + v * (y_high - y_low), in place
+        ys *= y_high - y_low
+        ys += y_low
         if heights is not None:
-            columns = np.clip(np.floor(xs).astype(np.int64) - a, 0, len(heights) - 1)
-            curve_vals = heights[columns]
-        else:
-            curve_vals = f(xs)
-        above = np.count_nonzero((ys > 0) & (ys <= curve_vals))
-        below = np.count_nonzero((ys < 0) & (ys >= curve_vals))
-        return np.array([above, below], dtype=np.int64)
+            xs = u  # column floor(a + u * (b - a)) - a, in place
+            xs *= b - a
+            xs += a
+            columns = np.floor(xs, out=xs).astype(np.intp)
+            columns -= a
+            np.clip(columns, 0, len(heights) - 1, out=columns)
+            return _signed_hits(ys, heights.take(columns))
+        return _banded_hits(f, bands, a, b, u, ys)
 
     [hits] = _map_blocks(config.master_seed, [("integral", config.trials, block)], workers)
     above, below = (int(h) for h in hits)
@@ -899,9 +1100,10 @@ VARIANTS: dict[str, Variant] = {
                                   maximum=DROPPER_MAX_SLOTS),
     }, replay=Replay(5, True, _e_record, _REPLAY_PARAMS)),
     "zeta": Variant(estimate_zeta, {
-        # Each block draws a (65,536 x m) int64 array plus a +1 copy, about
-        # 1 MB per unit of m and worker; and from m = 54 on zeta(m) is 1.0 in
-        # double precision, so a larger m adds memory and nothing to measure.
+        # Each block draws a (65,536 x m) array, int32 below value_bound
+        # 2^31 and int64 from there, about 0.5 MB per unit of m and worker
+        # at most; and from m = 54 on zeta(m) is 1.0 in double precision,
+        # so a larger m adds memory and nothing to measure.
         "m": Param("int", 3, minimum=2, maximum=64),
         "sampler_mode": Param("choice", "uniform", choices=("uniform", "random_tick")),
         "value_bound": Param("int", 10 ** 6, minimum=2, maximum=2 ** 63 - 1),

@@ -113,8 +113,15 @@ def raster_to_text(raster: CircleRaster, fill: str = "#", empty: str = ".",
     r, spans = raster.radius, raster.spans
     rows = []
     for z in range(r, -r - 1, -1):
-        filled = raster._ring(abs(z)) if outline_only else range(spans[abs(z)] + 1)
-        rows.append("".join(fill if abs(x) in filled else empty for x in range(-r, r + 1)))
+        span = spans[abs(z)]
+        # |x| <= span is filled; the outline leaves |x| < inner empty
+        inner = raster._ring(abs(z)).start if outline_only else 0
+        margin = empty * (r - span)
+        if inner == 0:
+            rows.append(margin + fill * (2 * span + 1) + margin)
+        else:
+            arc = fill * (span - inner + 1)
+            rows.append(margin + arc + empty * (2 * inner - 1) + arc + margin)
     return "\n".join(rows)
 
 

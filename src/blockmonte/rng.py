@@ -89,10 +89,14 @@ class RngStream:
     def float_block(self, count: int) -> np.ndarray:
         return self._generator.random(count)
 
-    def int_below_block(self, n: int, shape) -> np.ndarray:
+    def int_below_block(self, n: int, shape, dtype=np.int64) -> np.ndarray:
+        """Uniform integers in [0, n), int64 or, for n <= 2^31, int32.
+        numpy draws both dtypes through its 32-bit bounded path while n - 1
+        fits in 32 bits, so an int32 draw equals the int64 one.  An index
+        wants int64 (numpy casts an int32 index to intp first)."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        return self._generator.integers(0, n, size=shape, dtype=np.int64)
+        return self._generator.integers(0, n, size=shape, dtype=dtype)
 
     def geometric_block(self, p: float, shape) -> np.ndarray:
         """Geometric (trials-to-first-success, support >= 1) by inversion."""

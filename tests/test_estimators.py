@@ -650,6 +650,167 @@ class TestIntegral:
             estimate_integral(config("integral", a=3, b=3))
 
 
+# One spec per enclosure rule: x, numbers, pi and e, unary and binary
+# arithmetic, whole and other powers, // and %, and every function.
+ENCLOSURE_SPECS = [
+    "x", "3.5", "-2", "pi", "e", "2**3", "-x", "+x", "x + 2", "x - 2*x", "x*x", "2*x - x*x",
+    "x/3", "3/x", "1/(x-4.5)", "x**2", "(x-3)**4", "x**3", "x**-2", "x**-1", "x**0", "x**0.5",
+    "x**x", "x//2", "x % 3", "sin(x)", "cos(x)", "tan(x)", "arcsin(x/10)", "arccos(x/10)",
+    "arctan(x)", "sinh(x)", "cosh(x)", "tanh(x)", "exp(x)", "log(x)", "log2(x)", "log10(x)",
+    "sqrt(x)", "cbrt(x)", "abs(x)", "floor(x)", "ceil(x)", "x**2*sin(x) + cbrt(x)",
+    "exp(-x/3)*cos(2*x)", "sqrt(x)*(1 + sin(x))", "sin(300*x)", "tan(x)**2 - 1/cos(x)",
+    "arctan(log(x))",
+]
+
+# The default integrand and the other continuous integrands of the benchmark
+CONTINUOUS_INTEGRANDS = [
+    ("x**2*sin(x) + cbrt(x)", 0, 8),
+    ("exp(-x/3)*cos(2*x)", 0, 9),
+    ("sqrt(x)*(1 + sin(x))", 0, 7),
+]
+
+
+def _assert_encloses(f, lower, upper, xs):
+    """f at each row of xs lies in that row's [lower, upper]; a row where f
+    is not finite has no bound at all."""
+    bound_low, bound_high = f.enclose(lower, upper)
+    assert bound_low.shape == bound_high.shape == lower.shape
+    for row, (least, most) in enumerate(zip(bound_low, bound_high)):
+        assert np.isfinite(least) == np.isfinite(most)
+        try:
+            values = f(xs[row])
+        except ValueError:
+            assert (least, most) == (-np.inf, np.inf)
+            continue
+        assert (least <= values).all() and (values <= most).all(), (row, least, most)
+
+
+def _points_in(lower, upper, rng, per_interval=40):
+    """Both ends and random points of each [lower, upper]."""
+    inner = lower[:, None] + (upper - lower)[:, None] * rng.random((len(lower), per_interval))
+    return np.hstack([lower[:, None], np.clip(inner, lower[:, None], upper[:, None]),
+                      upper[:, None]])
+
+
+class TestEnclosure:
+    @pytest.mark.parametrize("spec", ENCLOSURE_SPECS)
+    @pytest.mark.parametrize("centre, scale", [(0.0, 10.0), (0.0, 1e-3), (2.0 ** 53, 1e3),
+                                               (-(2.0 ** 53), 1e3), (0.0, 2.0 ** 53)])
+    def test_every_value_f_computes_lies_in_its_interval(self, spec, centre, scale):
+        rng = np.random.default_rng(ENCLOSURE_SPECS.index(spec))
+        f = parse_function(spec)
+        ends = np.sort(centre + scale * rng.uniform(-1, 1, (2, 150)), axis=0)
+        # wide, narrow and single-point intervals
+        widths = scale * 10.0 ** rng.uniform(-12, 0, 150)
+        lower = np.concatenate([ends[0], ends[0], ends[0]])
+        upper = np.concatenate([ends[1], np.minimum(ends[0] + widths, ends[1]), ends[0]])
+        _assert_encloses(f, lower, upper, _points_in(lower, upper, rng))
+
+    @pytest.mark.parametrize("spec, lower, upper", [
+        ("tan(x)", math.pi / 2 - 1e-3, math.pi / 2 + 1e-3),
+        ("tan(x)", -3 * math.pi / 2 - 1e-12, -3 * math.pi / 2 + 1e-12),
+        ("tan(x)", 1e15, 1e15 + 4),
+        ("log(x)", 0.0, 1e-300),
+        ("log(x)", -1.0, 1.0),
+        ("1/(x-4.5)", 4.0, 5.0),
+        ("1/(x-4.5)", 4.5, 4.5),
+        ("sqrt(x)", -1e-300, 1.0),
+        ("arcsin(x)", 0.5, 1.0 + 1e-15),
+        ("exp(x)", 700.0, 710.0),
+        ("x % 3", 0.0, 1.0),
+        ("2**x", 0.0, 1.0),
+    ])
+    def test_a_pole_an_edge_of_the_domain_or_a_rule_missing_bounds_nothing(
+            self, spec, lower, upper):
+        bounds = parse_function(spec).enclose(np.array([lower]), np.array([upper]))
+        assert [bound.tolist() for bound in bounds] == [[-math.inf], [math.inf]]
+
+    @pytest.mark.parametrize("spec, lower, upper", [
+        ("tan(x)", math.pi / 2 - 1e-6, math.pi / 2 - 1e-9),  # beside the pole, huge
+        ("log(x)", 1e-300, 1e-200),
+        ("1/(x-4.5)", 4.5 + 1e-12, 5.0),
+        ("sqrt(x)", 0.0, 1e-300),
+    ])
+    def test_beside_a_pole_the_bounds_hold_the_values(self, spec, lower, upper):
+        rng = np.random.default_rng(7)
+        lower, upper = np.array([lower]), np.array([upper])
+        f = parse_function(spec)
+        assert np.isfinite(f.enclose(lower, upper)).all()
+        _assert_encloses(f, lower, upper, _points_in(lower, upper, rng, 2000))
+
+    def test_bounds_are_tight_on_small_intervals(self):
+        f = parse_function("x**2*sin(x) + cbrt(x)")
+        lower = np.linspace(0, 8, 4097)
+        least, most = f.enclose(lower[:-1], lower[1:])
+        assert (most - least).max() < 0.2
+
+    def test_a_tree_too_deep_to_walk_bounds_nothing(self, monkeypatch):
+        def too_deep(*_):
+            raise RecursionError
+
+        f = parse_function("x + 1")
+        monkeypatch.setattr(estimators, "_enclosure", too_deep)
+        bounds = f.enclose(np.zeros(2), np.ones(2))
+        assert [bound.tolist() for bound in bounds] == [[-math.inf] * 2, [math.inf] * 2]
+
+    @pytest.mark.parametrize("spec, a, b", CONTINUOUS_INTEGRANDS + [
+        ("sin(x)", 2 ** 53 - 10, 2 ** 53),
+        ("x*sin(x)", -(2 ** 53), -(2 ** 53) + 3),
+        ("cos(x)/(x - 0.5)", -(2 ** 53), 2 ** 53),
+        ("tan(x)", 0, 8),
+    ])
+    def test_each_bin_holds_f_at_the_samplers_points(self, spec, a, b):
+        f, _, bands, *_ = config("integral", function_spec=spec, a=a, b=b).model
+        u = derive_stream(0, StreamId("enclosure-test", 0)).float_block(1 << 16)
+        bins = np.arange(estimators.ENCLOSURE_BINS)
+        edge_u = np.concatenate([bins, bins + 1 - 2.0 ** -40]) / estimators.ENCLOSURE_BINS
+        u = np.concatenate([u, edge_u])
+        xs = a + u * (b - a)
+        values = f(xs)
+        index = np.multiply(u, estimators.ENCLOSURE_BINS).astype(np.intp)
+        assert (bands[0][index] <= values).all() and (values <= bands[1][index]).all()
+
+
+class TestBandedHits:
+    @pytest.mark.parametrize("spec, a, b", CONTINUOUS_INTEGRANDS)
+    def test_the_counts_equal_those_of_f_on_every_point(self, spec, a, b):
+        f, _, bands, y_low, y_high, *_ = config("integral", function_spec=spec, a=a, b=b).model
+        blocks, count, undecided = 300, estimators.BLOCK_TRIALS, 0
+        for index in range(blocks):
+            stream = derive_stream(index, StreamId("integral", index))
+            u = stream.float_block(count)
+            ys = y_low + stream.float_block(count) * (y_high - y_low)
+            curve = f(a + u * (b - a))
+            expected = [np.count_nonzero((ys > 0) & (ys <= curve)),
+                        np.count_nonzero((ys < 0) & (ys >= curve))]
+            assert estimators._banded_hits(f, bands, a, b, u, ys).tolist() == expected
+            bins = (u * estimators.ENCLOSURE_BINS).astype(int)
+            undecided += np.count_nonzero((bands[0][bins] <= ys) & (ys <= bands[1][bins]))
+        assert undecided < 0.01 * blocks * count  # f runs on few points
+
+    @pytest.mark.parametrize("spec", ["x**2*sin(x) + cbrt(x)", "tan(x)", "exp(x)*sin(x)**3",
+                                      "floor(x) - x", "x % 3"])
+    def test_f_on_a_subset_computes_the_same_bits(self, spec):
+        rng = np.random.default_rng(3)
+        xs = 8 * rng.random(1 << 16)
+        index = np.flatnonzero(rng.random(len(xs)) < 0.01)
+        f = parse_function(spec)
+        assert np.array_equal(f(xs)[index].view(np.int64), f(xs[index]).view(np.int64))
+
+    def test_a_value_that_is_not_finite_is_named_as_when_f_ran_on_every_point(self):
+        # nan only on (3.7, 3.7002): between grid points and off the first
+        # Kronrod nodes, so the config builds; a block of 65,536 points hits it.
+        spec = "1 + 0*log(abs(x - 3.7001) - 0.0001)"
+        trials = estimators.BLOCK_TRIALS
+        u = derive_stream(0, StreamId("integral", 0)).float_block(trials)
+        with pytest.raises(ValueError) as every_point:
+            parse_function(spec)(0 + u * (8 - 0))
+        assert "not finite at x = 3.70" in str(every_point.value)
+        with pytest.raises(ValueError) as banded:
+            estimate_integral(config("integral", seed=0, trials=trials, function_spec=spec))
+        assert str(banded.value) == str(every_point.value)
+
+
 ORACLE_SEC_TAN_9 = float(sum(Fraction(zigzag_count(n), math.factorial(n)) for n in range(10)))
 
 

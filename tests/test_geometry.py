@@ -1,4 +1,5 @@
 import math
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -141,6 +142,17 @@ class TestCircleRaster:
             "..#..",
         ])
         assert raster_to_text(rasterize_circle(2)) == expected
+
+    @pytest.mark.parametrize("outline_only", [False, True])
+    def test_text_export_at_the_largest_radius_is_fast(self, outline_only):
+        raster = rasterize_circle(4096)
+        start = time.perf_counter()
+        text = raster_to_text(raster, fill="X", empty=" ", outline_only=outline_only)
+        assert time.perf_counter() - start < 1.0
+        rows = text.split("\n")
+        assert len(rows) == 8193 and {len(row) for row in rows} == {8193}
+        filled = sum(2 * raster.spans[abs(z)] + 1 for z in range(-4096, 4097))
+        assert text.count("X") == (len(raster.outline_cells()) if outline_only else filled)
 
     def test_text_export_counts_match(self):
         raster = rasterize_circle(9)

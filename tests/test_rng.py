@@ -88,6 +88,21 @@ class TestNextIntBelow:
         assert statistic < chi2.ppf(0.999, df=5)
 
 
+class TestIntBelowBlock:
+    @pytest.mark.parametrize("n", [2, 3, math.factorial(9), 10 ** 6, 2 ** 31 - 1])
+    def test_an_int32_draw_equals_the_int64_draw(self, n):
+        for seed in range(4):
+            narrow, wide = (stream(seed=seed, label="int32") for _ in range(2))
+            drawn = narrow.int_below_block(n, (4096, 3), np.int32)
+            assert drawn.dtype == np.int32
+            assert np.array_equal(drawn, wide.int_below_block(n, (4096, 3)))
+            assert narrow.next_float() == wide.next_float()  # the same state after
+
+    def test_the_default_is_int64(self):
+        assert stream().int_below_block(2 ** 40, 10).dtype == np.int64
+        assert stream().int_below_block(6, 10).dtype == np.int64
+
+
 class TestGeometricTrials:
     def test_certain_success_is_one(self):
         s = stream()
