@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .combinatorics import derangement_count, zigzag_count
 from .errors import DegenerateResultError
-from .estimators import VARIANTS, ExperimentConfig, run_config
+from .estimators import VARIANTS, ExperimentConfig, Param, run_config
 from .geometry import archimedes_bounds, raster_to_text, rasterize_circle
 from .numtheory import coprime_probability_exact, euler_product_partial, zeta_partial
 from .runner import (SCATTER_RADIUS_LIMIT, RunManifest, load_manifest, parse_formats,
@@ -94,12 +94,7 @@ def main(argv=None) -> int:
 
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"invalid value for '{SEED_ENV_VAR}': {raw!r} is not an integer") from None
+    return 0 if raw is None else Param("int").coerce(SEED_ENV_VAR, raw)
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -187,7 +182,10 @@ def _cmd_oracle(args) -> int:
     arity, fn = _ORACLES[args.name]
     if len(args.args) != arity:
         raise ValueError(f"invalid value for 'args': {args.name} takes {arity} integer(s)")
-    print(fn(*args.args))
+    try:
+        print(fn(*args.args))
+    except (ValueError, OverflowError) as exc:  # the library's own range checks
+        raise ValueError(f"invalid value for 'args': {exc}") from None
     return 0
 
 

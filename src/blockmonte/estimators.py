@@ -27,7 +27,6 @@ from .geometry import (
     TriangleCourse,
     cells_in_disc,
     gauss_kronrod,
-    rasterize_circle,
     rasterize_curve,
     traversal_seconds,
 )
@@ -71,7 +70,7 @@ class ExperimentConfig:
     trials: int = 10_000
     variant_params: InitVar[dict | None] = None
     params: dict = field(init=False)
-    # what the variant's build made for its sampler (None: replay, no build)
+    # what the variant's build made for its sampler; None for a counts replay
     model: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, variant_params: dict | None) -> None:
@@ -258,8 +257,8 @@ def resolve_params(variant: str, raw: dict) -> tuple[dict, object]:
     the rest, then run the variant's build; with a ``counts`` key, coerce
     it against the variant's replay table instead.
 
-    Returns (params echo in table order, pairs as lists; the build's model
-    or None).  Unknown keys and bad values raise ValueError naming the field.
+    Returns (params echo in table order, pairs as lists; the build's model,
+    None for a replay).  Unknown keys and bad values raise ValueError naming the field.
     """
     if variant not in VARIANTS:
         raise ValueError(f"invalid value for 'variant': {variant!r} "
@@ -271,7 +270,7 @@ def resolve_params(variant: str, raw: dict) -> tuple[dict, object]:
                 name for name, other in VARIANTS.items() if other.replay is not None))
         return _coerce_table(variant, entry.replay.params, raw), None
     params = _coerce_table(variant, entry.params, raw)
-    return params, entry.build(params) if entry.build is not None else None
+    return params, entry.build(params)
 
 
 def _coerce_table(variant: str, table: dict[str, Param], raw: dict) -> dict:
@@ -332,28 +331,25 @@ def _flagged_orders(dropper: Dropper, flags: np.ndarray) -> Callable:
 # pi
 
 
-def _build_pi(params: dict) -> tuple[SlimeArena | None, object]:
-    """(arena, raster) of a pi run: the slime arena, None for uniform_ideal,
-    and the circle raster, None for exact_disc.  An unset drift becomes
-    (0.3, -0.3) for slime_walk_drift and (0, 0) otherwise; no other sampler
-    takes a non-zero one.  Building the arena here runs its reach rule
-    (step plus drift below the square side) before any trial."""
+def _build_pi(params: dict) -> SlimeArena | None:
+    """The slime arena of a pi run, None for uniform_ideal.  An unset drift
+    becomes (0.3, -0.3) for slime_walk_drift and (0, 0) otherwise; no other
+    sampler takes a non-zero one.  Building the arena here runs its reach
+    rule (step plus drift below the square side) before any trial."""
     drifting = params["sampler_mode"] == "slime_walk_drift"
     if params["drift"] is None:
         params["drift"] = [0.3, -0.3] if drifting else [0.0, 0.0]
     elif not drifting and params["drift"] != [0.0, 0.0]:
         raise ValueError("invalid value for 'drift': only slime_walk_drift accepts a bias")
-    arena = None
-    if params["sampler_mode"] != "uniform_ideal":
-        try:
-            arena = SlimeArena(half_width=params["radius"], step_cells=params["step_cells"],
-                               turn_probability=params["turn_probability"],
-                               drift_bias=tuple(params["drift"]),
-                               kill_probability=params["kill_probability"])
-        except ValueError as exc:
-            raise ValueError(f"invalid value for 'step_cells': {exc}") from None
-    raster = rasterize_circle(params["radius"]) if params["raster_mode"] == "raster" else None
-    return arena, raster
+    if params["sampler_mode"] == "uniform_ideal":
+        return None
+    try:
+        return SlimeArena(half_width=params["radius"], step_cells=params["step_cells"],
+                          turn_probability=params["turn_probability"],
+                          drift_bias=tuple(params["drift"]),
+                          kill_probability=params["kill_probability"])
+    except ValueError as exc:
+        raise ValueError(f"invalid value for 'step_cells': {exc}") from None
 
 
 def _uniform_points(stream, count: int, radius: int) -> np.ndarray:
@@ -384,28 +380,25 @@ def _pi_cells(stream, count: int, radius: int, arena) -> tuple[np.ndarray, np.nd
     return cells[:, 0], cells[:, 1]
 
 
-def _pi_inside_mask(stream, count: int, params: dict, raster, arena) -> np.ndarray:
+def _pi_inside_mask(stream, count: int, params: dict, arena) -> np.ndarray:
     radius = params["radius"]
-    if raster is not None:
-        return raster.contains_cells(*_pi_cells(stream, count, radius, arena))
-    if arena is None:
+    if arena is None and params["raster_mode"] == "exact_disc":
         # (x - 0.5)^2 + (z - 0.5)^2 <= R^2, in place
         points = _uniform_points(stream, count, radius)
         points -= 0.5
         np.square(points, out=points)
         distance2 = np.add(points[0], points[1], out=points[0])
         return distance2 <= float(radius) ** 2
-    # a death cell is in the exact disc iff its center is: the raster's test
+    # a raster cell, or a death cell in the exact disc, is inside iff its center is
     return cells_in_disc(*_pi_cells(stream, count, radius, arena), radius)
 
 
 def estimate_pi(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Monte Carlo disc experiment: estimate = 4 * inside / total."""
     params = dict(config.params)
-    arena, raster = config.model
 
     def block(stream, count):
-        return int(np.count_nonzero(_pi_inside_mask(stream, count, params, raster, arena)))
+        return int(np.count_nonzero(_pi_inside_mask(stream, count, params, config.model)))
 
     [inside] = _map_blocks(config.master_seed, [("pi", config.trials, block)], workers)
     return _pi_record(inside, config.trials, config.master_seed, params)
@@ -421,11 +414,17 @@ def collect_pi_outcomes(config: ExperimentConfig,
     of the full estimating run.
     """
     stream = derive_stream(config.master_seed, StreamId("pi/scatter", 0))
-    return _pi_cells(stream, min(config.trials, limit), config.params["radius"], config.model[0])
+    return _pi_cells(stream, min(config.trials, limit), config.params["radius"], config.model)
 
 
 # ---------------------------------------------------------------------------
 # e
+
+
+def _build_e(params: dict) -> Callable:
+    """e's block function: the derangement count of a permutation_size dropper."""
+    size = params["permutation_size"]
+    return _flagged_orders(Dropper(slot_count=size), derangement_flags(size))
 
 
 def estimate_e(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
@@ -436,9 +435,7 @@ def estimate_e(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     achievable trial count.
     """
     params = dict(config.params)
-    size = params["permutation_size"]
-    block = _flagged_orders(Dropper(slot_count=size), derangement_flags(size))
-    [derangements] = _map_blocks(config.master_seed, [("e", config.trials, block)], workers)
+    [derangements] = _map_blocks(config.master_seed, [("e", config.trials, config.model)], workers)
     return _e_record(config.trials, derangements, config.master_seed, params)
 
 
@@ -508,16 +505,9 @@ def reference_zeta(m: int) -> float:
     return zeta_value(m)
 
 
-def estimate_zeta(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
-    """Coprimality experiment: estimate = tuples / coprime_tuples.
-
-    The uniform sampler draws m-tuples on [1, value_bound]; the random_tick
-    sampler mirrors the waiting-time device instead and its values follow a
-    geometric (negative binomial) law, not a uniform one, which the record
-    flags in its params.  For even m the record also carries the implied
-    pi^m value, since zeta(2k) is a rational multiple of pi^(2k).
-    """
-    params = dict(config.params)
+def _build_zeta(params: dict) -> Callable:
+    """zeta's block function, the coprime count of its m-tuples: uniform
+    draws on [1, value_bound], or random-tick waits of the scheduler."""
     m = params["m"]
     uniform = params["sampler_mode"] == "uniform"
     # Random ticks draw geometric values, almost all below the table side.
@@ -539,9 +529,23 @@ def estimate_zeta(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
         def block(stream, count):
             return _coprime_rows(ticks_until_growth_block(sched, growth, stream, (count, m)),
                                  table)
+    return block
 
-    [coprime] = _map_blocks(config.master_seed, [("zeta", config.trials, block)], workers)
-    params["value_distribution"] = "uniform" if uniform else "negative_binomial_non_uniform"
+
+def estimate_zeta(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
+    """Coprimality experiment: estimate = tuples / coprime_tuples.
+
+    The uniform sampler draws m-tuples on [1, value_bound]; the random_tick
+    sampler mirrors the waiting-time device instead and its values follow a
+    geometric (negative binomial) law, not a uniform one, which the record
+    flags in its params.  For even m the record also carries the implied
+    pi^m value, since zeta(2k) is a rational multiple of pi^(2k).
+    """
+    params = dict(config.params)
+    m = params["m"]
+    [coprime] = _map_blocks(config.master_seed, [("zeta", config.trials, config.model)], workers)
+    params["value_distribution"] = ("uniform" if params["sampler_mode"] == "uniform"
+                                    else "negative_binomial_non_uniform")
     record = _zeta_record(config.trials, coprime, config.master_seed, params)
     if m in ZETA_EVEN_PI_COEFFICIENT:
         scale = 1.0 / float(ZETA_EVEN_PI_COEFFICIENT[m])
@@ -556,6 +560,13 @@ def estimate_zeta(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
 # sec(1) + tan(1)
 
 
+def _build_sec_tan(params: dict) -> list[tuple[int, Callable]]:
+    """(size, block function) for each size from 2 to max_size: the
+    alternating-order count of a dropper of that size."""
+    return [(size, _flagged_orders(Dropper(slot_count=size), alternating_flags(size)))
+            for size in range(2, params["max_size"] + 1)]
+
+
 def estimate_sec_tan(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Sum over sizes n <= max_size of the alternating fraction A_n/n!.
 
@@ -564,12 +575,9 @@ def estimate_sec_tan(config: ExperimentConfig, workers: int = 1) -> EstimateReco
     partial sum of the series whose limit is sec(1)+tan(1).
     """
     params = dict(config.params)
-    sizes = range(2, params["max_size"] + 1)
-    jobs = [(f"sec_tan/size{size}", config.trials,
-             _flagged_orders(Dropper(slot_count=size), alternating_flags(size)))
-            for size in sizes]
-    per_size = [[size, hits] for size, hits in
-                zip(sizes, _map_blocks(config.master_seed, jobs, workers))]
+    jobs = [(f"sec_tan/size{size}", config.trials, block) for size, block in config.model]
+    per_size = [[size, hits] for (size, _), hits in
+                zip(config.model, _map_blocks(config.master_seed, jobs, workers))]
     estimate = float(min(params["max_size"] + 1, 2))
     variance = 0.0
     for _, hits in per_size:
@@ -579,7 +587,7 @@ def estimate_sec_tan(config: ExperimentConfig, workers: int = 1) -> EstimateReco
     stderr = math.sqrt(variance)
     params["trials_per_size"] = config.trials
     params["alternating_counts"] = per_size
-    return _record("sec_tan", estimate, config.trials * len(sizes), None, stderr,
+    return _record("sec_tan", estimate, config.trials * len(per_size), None, stderr,
                    (estimate - Z_95 * stderr, estimate + Z_95 * stderr),
                    CONSTANTS.sec1_plus_tan1, config.master_seed, params)
 
@@ -954,10 +962,10 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
 # sqrt(2)
 
 
-def _build_sqrt2(params: dict) -> tuple[float, float]:
-    """(leg_time, hyp_time) of the course, in continuous time.  Rejects a
-    course whose hypotenuse window, plus the start phase of up to one
-    period, reaches HOPPER_MAX_PERIODS timer periods."""
+def _build_sqrt2(params: dict) -> tuple[HopperTimer, float, float]:
+    """(timer, leg_time, hyp_time): the hopper timer and the course's times,
+    in continuous time.  Rejects a course whose hypotenuse window, plus the
+    start phase of up to one period, reaches HOPPER_MAX_PERIODS timer periods."""
     period = params["period"]
     try:
         leg_time, hyp_time = traversal_seconds(TriangleCourse(params["leg_blocks"],
@@ -967,7 +975,7 @@ def _build_sqrt2(params: dict) -> tuple[float, float]:
     if (hyp_time + period) / period >= HOPPER_MAX_PERIODS:
         raise ValueError("invalid value for 'speed': the hypotenuse takes 2**52 or more "
                          "timer periods at this speed")
-    return leg_time, hyp_time
+    return HopperTimer(period_seconds=period), leg_time, hyp_time
 
 
 def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
@@ -978,8 +986,7 @@ def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord
     uniform in [0, period), modelling a timer that was already running.
     """
     params = dict(config.params)
-    leg_time, hyp_time = config.model
-    timer = HopperTimer(period_seconds=params["period"])
+    timer, leg_time, hyp_time = config.model
     if params["random_start_phase"]:
         stream = derive_stream(config.master_seed, StreamId("sqrt2", 0))
         leg_phase = stream.next_float() * timer.period_seconds
@@ -1061,15 +1068,15 @@ def _replay(variant: str, params: dict) -> EstimateRecord:
 @dataclass(frozen=True)
 class Variant:
     """One variant: ``sample(config, workers=1)`` runs it; ``params`` is its
-    parameter table, in params-echo order; ``build(params)``, if any, runs
-    after coercion on the coerced params alone, rejects what no single
-    field can, may fill an unset (None) default that depends on another
-    field, and returns the model the sampler reads as ``config.model``;
+    parameter table, in params-echo order; ``build(params)`` runs after
+    coercion on the coerced params alone, rejects what no single field can,
+    may fill an unset (None) default that depends on another field, and
+    returns the devices and tables the sampler runs, as ``config.model``;
     ``replay`` is None if its counts cannot be replayed."""
 
     sample: Callable
     params: dict[str, Param]
-    build: Callable[[dict], object] | None = None
+    build: Callable[[dict], object]
     replay: Replay | None = None
 
 
@@ -1098,7 +1105,7 @@ VARIANTS: dict[str, Variant] = {
     "e": Variant(estimate_e, {
         "permutation_size": Param("int", DROPPER_MAX_SLOTS, minimum=2,
                                   maximum=DROPPER_MAX_SLOTS),
-    }, replay=Replay(5, True, _e_record, _REPLAY_PARAMS)),
+    }, _build_e, Replay(5, True, _e_record, _REPLAY_PARAMS)),
     "zeta": Variant(estimate_zeta, {
         # Each block draws a (65,536 x m) array, int32 below value_bound
         # 2^31 and int64 from there, about 0.5 MB per unit of m and worker
@@ -1113,10 +1120,11 @@ VARIANTS: dict[str, Variant] = {
         "growth_prob": Param("float", 1.0 / 3.0, minimum=1e-14, maximum=1),
         # 3 picks per tick times this cannot exceed the 16^3-cell cube.
         "speed_multiplier": Param("int", 64, minimum=1, maximum=4096 // 3),
-    }, replay=Replay(4, False, _zeta_record, {**_REPLAY_PARAMS, "m": Param("int", 3, minimum=2)})),
+    }, _build_zeta,
+        Replay(4, False, _zeta_record, {**_REPLAY_PARAMS, "m": Param("int", 3, minimum=2)})),
     "sec_tan": Variant(estimate_sec_tan, {
         "max_size": Param("int", DROPPER_MAX_SLOTS, minimum=0, maximum=DROPPER_MAX_SLOTS),
-    }),
+    }, _build_sec_tan),
     "integral": Variant(estimate_integral, {
         "function_spec": Param("str", "x**2*sin(x) + cbrt(x)"),
         "a": Param("int", 0, minimum=-2 ** 53, maximum=2 ** 53),

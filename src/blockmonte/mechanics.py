@@ -113,14 +113,11 @@ class RandomTickScheduler:
 
     cube_cells: int = 16 ** 3
     picks_per_tick: int = 3
-    tick_seconds: float = 0.05
     speed_multiplier: int = 1
 
     def __post_init__(self) -> None:
         if self.cube_cells < 1 or self.picks_per_tick < 1 or self.speed_multiplier < 1:
             raise ValueError("cube_cells, picks_per_tick and speed_multiplier must be >= 1")
-        if not self.tick_seconds > 0:
-            raise ValueError("tick_seconds must be > 0")
         if self.picks_per_tick * self.speed_multiplier > self.cube_cells:
             raise ValueError("picks per tick cannot exceed the cube size")
 

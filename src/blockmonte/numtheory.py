@@ -24,6 +24,11 @@ ZETA_EVEN_PI_COEFFICIENT = {
 
 _ENUMERATION_LIMIT = 10 ** 8
 
+# The sieve holds a (limit + 1)-byte array, and the sieve and zeta_partial
+# each loop in Python over every number up to their bound: about 0.6 s and
+# 1.2 s at this bound on a 2-core machine.
+SERIES_BOUND_LIMIT = 10 ** 7
+
 
 def gcd_tuple(values: Sequence[int]) -> int:
     """gcd of all entries via iterated Euclid; the tuple is setwise coprime
@@ -40,6 +45,8 @@ def gcd_tuple(values: Sequence[int]) -> int:
 
 def sieve_primes(limit: int) -> list[int]:
     """Primes <= limit by the sieve of Eratosthenes."""
+    if limit > SERIES_BOUND_LIMIT:
+        raise ValueError(f"limit must be <= {SERIES_BOUND_LIMIT}")
     if limit < 2:
         return []
     flags = bytearray([1]) * (limit + 1)
@@ -58,8 +65,8 @@ def zeta_partial(s: int, terms: int) -> float:
     """
     if s < 2 or int(s) != s:
         raise ValueError("s must be an integer >= 2")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    if not 1 <= terms <= SERIES_BOUND_LIMIT:
+        raise ValueError(f"terms must be in [1, {SERIES_BOUND_LIMIT}]")
     return math.fsum(n ** -s for n in range(1, terms + 1))
 
 
@@ -115,8 +122,8 @@ def euler_product_partial(s: int, prime_bound: int) -> float:
     """Product over primes p <= prime_bound of (1 - p^-s)^-1."""
     if s < 2 or int(s) != s:
         raise ValueError("s must be an integer >= 2")
-    if prime_bound < 1:
-        raise ValueError("prime_bound must be >= 1")
+    if not 1 <= prime_bound <= SERIES_BOUND_LIMIT:
+        raise ValueError(f"prime_bound must be in [1, {SERIES_BOUND_LIMIT}]")
     result = 1.0
     for p in sieve_primes(prime_bound):
         result *= 1.0 / (1.0 - p ** -s)

@@ -21,6 +21,7 @@ from .errors import DegenerateResultError
 from .estimators import (
     ExperimentConfig,
     EstimateRecord,
+    Param,
     collect_pi_outcomes,
     run_config,
 )
@@ -88,7 +89,7 @@ def load_manifest(path, default_seed: int = 0) -> RunManifest:
     for key in run:
         if key not in RUN_KEYS:
             raise ValueError(f"unknown key '{key}' in [run] (expected {', '.join(RUN_KEYS)})")
-    workers = _parse_int(run.get("workers", "1"), "workers")
+    workers = Param("int").coerce("workers", run.get("workers", 1))
 
     configs = []
     for name in parser.sections():
@@ -98,8 +99,8 @@ def load_manifest(path, default_seed: int = 0) -> RunManifest:
         if "variant" not in section:
             raise ValueError(f"invalid value for 'variant': section [{name}] has none")
         variant = section.pop("variant")
-        seed = _parse_int(section.pop("seed", str(default_seed)), "seed")
-        trials = _parse_int(section.pop("trials", "10000"), "trials")
+        seed = Param("int").coerce("seed", section.pop("seed", default_seed))
+        trials = Param("int").coerce("trials", section.pop("trials", 10_000))
         configs.append(ExperimentConfig(variant=variant, master_seed=seed,
                                         trials=trials, variant_params=section))
     return RunManifest(run_id=run.get("run_id", path.stem), configs=configs,
@@ -110,13 +111,6 @@ def load_manifest(path, default_seed: int = 0) -> RunManifest:
 def parse_formats(raw: str) -> tuple[str, ...]:
     """A manifest's ``formats`` or the CLI's ``--format``: comma-separated."""
     return tuple(f.strip() for f in raw.split(",") if f.strip())
-
-
-def _parse_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"invalid value for '{key}': {raw!r} is not an integer") from None
 
 
 def run_experiment(manifest: RunManifest) -> list[EstimateRecord]:

@@ -492,6 +492,17 @@ class TestCommandLine:
     def test_oracle_arity_check(self, capsys):
         assert cli.main(["oracle", "derangement_count"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["derangement_count", "21"],  # past 64 bits: the library's OverflowError
+        ["zigzag_count", "21"],
+        ["euler_product_partial", "2", "100000000000"],  # a 100 GB sieve
+        ["euler_product_partial", "2", "10000001"],  # one past the bound
+        ["zeta_partial", "3", "10000001"],
+    ])
+    def test_oracle_out_of_range_exits_two_naming_args(self, capsys, args):
+        assert cli.main(["oracle", *args]) == 2
+        assert "'args'" in capsys.readouterr().err
+
 
 def test_report_row_round_trip_without_files():
     record = run_config(ExperimentConfig(variant="e", master_seed=2, trials=5000))
