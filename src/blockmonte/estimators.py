@@ -10,6 +10,8 @@ blocks.
 from __future__ import annotations
 
 import ast
+import contextlib
+import itertools
 import math
 import operator
 import os
@@ -50,6 +52,9 @@ from .stats import CONSTANTS, ratio_stderr, relative_error, wilson_ci
 # Trials per random stream; one stream per block keeps results independent
 # of worker scheduling while still letting numpy do the sampling in bulk.
 BLOCK_TRIALS = 1 << 16
+
+# Blocks each thread of _map_blocks runs between two folds of their results.
+CHUNK_BLOCKS = 256
 
 Z_95 = 1.96
 
@@ -102,34 +107,21 @@ class EstimateRecord:
     ci_low: float | None
     ci_high: float | None
     reference: float | None
-    relative_error_percent: float | None
     seed: int | None
     params: dict
+
+    @property
+    def relative_error_percent(self) -> float | None:
+        """Percent error of the estimate; None for a failed run and against a
+        zero or missing reference, where it is undefined."""
+        if self.estimate is None or not self.reference:
+            return None
+        return relative_error(self.estimate, self.reference)
 
 
 # ---------------------------------------------------------------------------
 # record builders: the one step from counts to record, shared by the
 # sampling estimators and the count replay; each checks its counts
-
-
-def _record(variant: str, estimate: float, trials_used: int, success_count: int | None,
-            stderr: float | None, ci: tuple, reference: float, seed: int | None,
-            params: dict) -> EstimateRecord:
-    """The one place a record is built; relative error is None against a
-    zero reference, where it is undefined."""
-    return EstimateRecord(
-        variant=variant,
-        estimate=estimate,
-        trials_used=trials_used,
-        success_count=success_count,
-        stderr=stderr,
-        ci_low=ci[0],
-        ci_high=ci[1],
-        reference=reference,
-        relative_error_percent=(relative_error(estimate, reference) if reference != 0 else None),
-        seed=seed,
-        params=params,
-    )
 
 
 def _pi_record(inside: int, total: int, seed: int | None, params: dict) -> EstimateRecord:
@@ -140,9 +132,9 @@ def _pi_record(inside: int, total: int, seed: int | None, params: dict) -> Estim
         raise ValueError("invalid value for 'counts': inside count cannot exceed the total")
     p_hat = inside / total
     low, high = wilson_ci(inside, total, Z_95)
-    return _record("pi", 4.0 * inside / total, total, inside,
-                   4.0 * math.sqrt(p_hat * (1.0 - p_hat) / total), (4.0 * low, 4.0 * high),
-                   CONSTANTS.pi, seed, params)
+    return EstimateRecord("pi", 4.0 * inside / total, total, inside,
+                          4.0 * math.sqrt(p_hat * (1.0 - p_hat) / total), 4.0 * low, 4.0 * high,
+                          CONSTANTS.pi, seed, params)
 
 
 def _ratio_record(variant: str, trials: int, successes: int, reference: float,
@@ -152,9 +144,9 @@ def _ratio_record(variant: str, trials: int, successes: int, reference: float,
     if successes > trials:
         raise ValueError("invalid value for 'counts': successes cannot exceed the trial count")
     low, high = wilson_ci(successes, trials, Z_95)
-    return _record(variant, trials / successes, trials, successes,
-                   ratio_stderr(successes, trials), (1.0 / high, 1.0 / low),
-                   reference, seed, params)
+    return EstimateRecord(variant, trials / successes, trials, successes,
+                          ratio_stderr(successes, trials), 1.0 / high, 1.0 / low,
+                          reference, seed, params)
 
 
 def _e_record(trials: int, derangements: int, seed: int | None, params: dict) -> EstimateRecord:
@@ -176,8 +168,8 @@ def _quotient_record(hyp_items: int, leg_items: int, seed: int | None,
     if leg_items == 0:
         raise DegenerateCourseError(
             "leg traversal finished before the timer released a single item")
-    return _record("sqrt2", hyp_items / leg_items, 1, None, None, (None, None),
-                   CONSTANTS.sqrt2, seed, params)
+    return EstimateRecord("sqrt2", hyp_items / leg_items, 1, None, None, None, None,
+                          CONSTANTS.sqrt2, seed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +282,30 @@ def _map_blocks(seed: int, jobs: list[tuple[str, int, Callable]], workers: int =
 
     Job (label, trials, block_fn) calls block_fn(stream, count) on each of
     its blocks, block i drawing from the stream (seed, (label, i)); its total
-    adds the block results in block order.  The pool never has more threads
-    than cores or blocks, whatever ``workers`` asks for.
+    is block 0's result plus each later one, in block order.  Blocks run and
+    fold CHUNK_BLOCKS per thread at a time, so memory does not grow with the
+    trials.  The pool never has more threads than cores or blocks, whatever
+    ``workers`` asks for.
     """
-    plan = [(job, start // BLOCK_TRIALS, min(BLOCK_TRIALS, trials - start))
+    blocks = sum(-(-trials // BLOCK_TRIALS) for _, trials, _ in jobs)
+    plan = ((job, start // BLOCK_TRIALS, min(BLOCK_TRIALS, trials - start))
             for job, (_, trials, _) in enumerate(jobs)
-            for start in range(0, trials, BLOCK_TRIALS)]
+            for start in range(0, trials, BLOCK_TRIALS))
 
     def run_one(item):
         job, index, count = item
         label, _, block_fn = jobs[job]
-        return block_fn(derive_stream(seed, StreamId(label, index)), count)
+        return job, index, block_fn(derive_stream(seed, StreamId(label, index)), count)
 
-    workers = min(workers, os.cpu_count() or 1, len(plan))
-    if workers <= 1:
-        results = [run_one(item) for item in plan]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, plan))
+    workers = min(workers, os.cpu_count() or 1, blocks)
     totals = [0] * len(jobs)
-    for (job, _, _), result in zip(plan, results):
-        totals[job] = totals[job] + result
+    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        run = map if pool is None else pool.map
+        chunk = CHUNK_BLOCKS * max(workers, 1)
+        for _ in range(0, blocks, chunk):
+            for job, index, result in run(run_one, itertools.islice(plan, chunk)):
+                totals[job] = result if index == 0 else totals[job] + result
     return totals
 
 
@@ -587,9 +582,9 @@ def estimate_sec_tan(config: ExperimentConfig, workers: int = 1) -> EstimateReco
     stderr = math.sqrt(variance)
     params["trials_per_size"] = config.trials
     params["alternating_counts"] = per_size
-    return _record("sec_tan", estimate, config.trials * len(per_size), None, stderr,
-                   (estimate - Z_95 * stderr, estimate + Z_95 * stderr),
-                   CONSTANTS.sec1_plus_tan1, config.master_seed, params)
+    return EstimateRecord("sec_tan", estimate, config.trials * len(per_size), None, stderr,
+                          estimate - Z_95 * stderr, estimate + Z_95 * stderr,
+                          CONSTANTS.sec1_plus_tan1, config.master_seed, params)
 
 
 # ---------------------------------------------------------------------------
@@ -920,8 +915,8 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
         # spans 0) or all-zero columns: nothing can land strictly above or
         # below the axis, so the net estimate is exactly 0, with no sampling.
         params["note"] = "flat zero curve; estimate exact"
-        return _record("integral", 0.0, config.trials, 0, 0.0, (0.0, 0.0), reference,
-                       config.master_seed, params)
+        return EstimateRecord("integral", 0.0, config.trials, 0, 0.0, 0.0, 0.0, reference,
+                              config.master_seed, params)
     box_area = (b - a) * (y_high - y_low)
     if not math.isfinite(box_area):
         raise DegenerateRegionError("sampling box area is not finite")
@@ -949,33 +944,42 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
     hit = (above + below) / config.trials
     estimate = net * box_area
     stderr = box_area * math.sqrt(max(0.0, hit - net * net) / config.trials)
-    ci = (estimate - Z_95 * stderr, estimate + Z_95 * stderr)
-    if not (math.isfinite(ci[0]) and math.isfinite(ci[1])):
+    ci_low, ci_high = estimate - Z_95 * stderr, estimate + Z_95 * stderr
+    if not (math.isfinite(ci_low) and math.isfinite(ci_high)):
         raise DegenerateRegionError("interval on the sampling box is not finite")
     params["hits_above"] = above
     params["hits_below"] = below
-    return _record("integral", estimate, config.trials, above + below, stderr, ci, reference,
-                   config.master_seed, params)
+    return EstimateRecord("integral", estimate, config.trials, above + below, stderr, ci_low,
+                          ci_high, reference, config.master_seed, params)
 
 
 # ---------------------------------------------------------------------------
 # sqrt(2)
 
 
-def _build_sqrt2(params: dict) -> tuple[HopperTimer, float, float]:
-    """(timer, leg_time, hyp_time): the hopper timer and the course's times,
-    in continuous time.  Rejects a course whose hypotenuse window, plus the
-    start phase of up to one period, reaches HOPPER_MAX_PERIODS timer periods."""
+def _build_sqrt2(params: dict) -> Callable:
+    """sqrt2's block function: [leg_items, hyp_items], the hopper timer read
+    over the course's leg and hypotenuse times, each from phase 0 or, with
+    random_start_phase, uniform in [0, period), the leg's drawn first.
+    Rejects a hypotenuse window that, plus one period of phase, reaches
+    HOPPER_MAX_PERIODS timer periods."""
     period = params["period"]
     try:
-        leg_time, hyp_time = traversal_seconds(TriangleCourse(params["leg_blocks"],
-                                                              params["speed"]))
+        windows = traversal_seconds(TriangleCourse(params["leg_blocks"], params["speed"]))
     except OverflowError:
-        leg_time = hyp_time = math.inf
-    if (hyp_time + period) / period >= HOPPER_MAX_PERIODS:
+        windows = (math.inf, math.inf)
+    if (windows[1] + period) / period >= HOPPER_MAX_PERIODS:
         raise ValueError("invalid value for 'speed': the hypotenuse takes 2**52 or more "
                          "timer periods at this speed")
-    return HopperTimer(period_seconds=period), leg_time, hyp_time
+    timer = HopperTimer(period_seconds=period)
+    random_phase = params["random_start_phase"]
+
+    def block(stream, count):
+        phases = [stream.next_float() * period if random_phase else 0.0 for _ in windows]
+        return [hopper_items_in_window(timer, window, phase)
+                for window, phase in zip(windows, phases)]
+
+    return block
 
 
 def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
@@ -986,15 +990,8 @@ def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord
     uniform in [0, period), modelling a timer that was already running.
     """
     params = dict(config.params)
-    timer, leg_time, hyp_time = config.model
-    if params["random_start_phase"]:
-        stream = derive_stream(config.master_seed, StreamId("sqrt2", 0))
-        leg_phase = stream.next_float() * timer.period_seconds
-        hyp_phase = stream.next_float() * timer.period_seconds
-    else:
-        leg_phase = hyp_phase = 0.0
-    leg_items = hopper_items_in_window(timer, leg_time, leg_phase)
-    hyp_items = hopper_items_in_window(timer, hyp_time, hyp_phase)
+    [(leg_items, hyp_items)] = _map_blocks(config.master_seed, [("sqrt2", 1, config.model)],
+                                           workers)
     params["leg_items"] = leg_items
     params["hyp_items"] = hyp_items
     return _quotient_record(hyp_items, leg_items, config.master_seed, params)

@@ -1,8 +1,8 @@
 """gcd/coprimality helpers, zeta partial sums, and Euler-product partials.
 
-``coprime_probability_exact`` is an exhaustive finite-universe oracle and
-therefore returns an exact Fraction; the floating ``zeta_partial`` and
-``euler_product_partial`` routes approach zeta(s) from the series and the
+``coprime_probability_exact`` is an exact finite-universe oracle (a
+Möbius-inverted count) and therefore returns an exact Fraction; the
+floating ``zeta_partial`` and ``euler_product_partial`` routes approach zeta(s) from the series and the
 prime product respectively, giving two independent checks on one value.
 """
 
@@ -12,8 +12,9 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
+
+import numpy as np
 
 # zeta(2k) as a rational multiple of pi^(2k).
 ZETA_EVEN_PI_COEFFICIENT = {
@@ -22,12 +23,14 @@ ZETA_EVEN_PI_COEFFICIENT = {
     6: Fraction(1, 945),
 }
 
-_ENUMERATION_LIMIT = 10 ** 8
-
-# The sieve holds a (limit + 1)-byte array, and the sieve and zeta_partial
-# each loop in Python over every number up to their bound: about 0.6 s and
-# 1.2 s at this bound on a 2-core machine.
+# The sieve holds a (limit + 1)-byte array and takes about 0.1 s at this
+# bound on a 2-core machine; zeta_partial loops in Python over every number
+# up to its bound, about 1.2 s; coprime_probability_exact, which sieves mu,
+# about 1.2 s with a 55 MB peak.
 SERIES_BOUND_LIMIT = 10 ** 7
+
+# zeta's largest m: from 54 on zeta(m) is 1.0 in double precision.
+COPRIME_MAX_M = 64
 
 
 def gcd_tuple(values: Sequence[int]) -> int:
@@ -54,7 +57,7 @@ def sieve_primes(limit: int) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return [p for p in range(2, limit + 1) if flags[p]]
+    return np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).tolist()
 
 
 def zeta_partial(s: int, terms: int) -> float:
@@ -130,26 +133,38 @@ def euler_product_partial(s: int, prime_bound: int) -> float:
     return result
 
 
+def _mobius(n: int) -> np.ndarray:
+    """mu(0), ..., mu(n) as int8, mu(0) = 0: each prime p flips the sign
+    of its multiples, and the multiples of p^2 are 0."""
+    mu = np.ones(n + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in sieve_primes(n):
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    return mu
+
+
 def coprime_probability_exact(m: int, bound: int) -> Fraction:
     """Exact probability that an m-tuple uniform on [1, bound]^m is setwise
-    coprime, by exhaustive enumeration.
+    coprime.
 
     "Coprime" means the gcd of all entries is 1, not pairwise coprimality.
+    The count of coprime tuples is sum over d of mu(d) * (bound // d)^m, by
+    Möbius inversion; d is taken in its O(sqrt(bound)) runs of equal
+    bound // d, each weighted by its difference of the prefix sums of mu.
     The result is a Fraction with denominator bound^m so it can anchor
     acceptance tests without rounding.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if bound ** m > _ENUMERATION_LIMIT:
-        raise ValueError(f"bound^m exceeds enumeration limit {_ENUMERATION_LIMIT}")
-    gcd = math.gcd
-    count = 0
-    for values in product(range(1, bound + 1), repeat=m):
-        g = 0
-        for v in values:
-            g = gcd(g, v)
-        if g == 1:
-            count += 1
+    if not 2 <= m <= COPRIME_MAX_M:
+        raise ValueError(f"m must be in [2, {COPRIME_MAX_M}]")
+    if not 1 <= bound <= SERIES_BOUND_LIMIT:
+        raise ValueError(f"bound must be in [1, {SERIES_BOUND_LIMIT}]")
+    ends, d = [], 1
+    while d <= bound:
+        ends.append(bound // (bound // d))
+        d = ends[-1] + 1
+    mertens = _mobius(bound).astype(np.int32)
+    np.cumsum(mertens, out=mertens)  # in place: the prefix sums of mu
+    run_sums = np.diff(mertens[ends], prepend=0).tolist()
+    count = sum(mu_sum * (bound // end) ** m for mu_sum, end in zip(run_sums, ends))
     return Fraction(count, bound ** m)

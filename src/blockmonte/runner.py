@@ -133,8 +133,7 @@ def run_experiment(manifest: RunManifest) -> list[EstimateRecord]:
 def _failed_record(config: ExperimentConfig, reason: str) -> EstimateRecord:
     return EstimateRecord(
         variant=config.variant, estimate=None, trials_used=config.trials,
-        success_count=None, stderr=None, ci_low=None, ci_high=None,
-        reference=None, relative_error_percent=None,
+        success_count=None, stderr=None, ci_low=None, ci_high=None, reference=None,
         seed=config.master_seed, params={**config.params, "failed": reason})
 
 

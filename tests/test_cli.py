@@ -498,6 +498,7 @@ class TestCommandLine:
         ["euler_product_partial", "2", "100000000000"],  # a 100 GB sieve
         ["euler_product_partial", "2", "10000001"],  # one past the bound
         ["zeta_partial", "3", "10000001"],
+        ["coprime_probability_exact", "65", "1"],  # m past zeta's maximum
     ])
     def test_oracle_out_of_range_exits_two_naming_args(self, capsys, args):
         assert cli.main(["oracle", *args]) == 2

@@ -946,3 +946,62 @@ class TestWorkerPool:
         cfg = config("sec_tan", seed=6, trials=estimators.BLOCK_TRIALS + 9)
         assert estimate_sec_tan(cfg, workers=2) == estimate_sec_tan(cfg, workers=1)
         assert pool_sizes == [2]
+
+
+class TestExecutor:
+    """``_map_blocks`` is the one executor: it runs and folds blocks a
+    bounded chunk at a time, and every sampler draws through it."""
+
+    def test_blocks_run_one_bounded_chunk_at_a_time(self, monkeypatch):
+        lengths = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                lengths.append(len(items))
+                return map(fn, items)
+
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(estimators.os, "cpu_count", lambda: 2)
+        blocks = 2 * estimators.CHUNK_BLOCKS * 2 + 5
+        trials = blocks * estimators.BLOCK_TRIALS
+        totals = estimators._map_blocks(0, [("chunks", trials, lambda stream, count: count)], 2)
+        assert totals == [trials]
+        assert sum(lengths) == blocks
+        assert max(lengths) <= estimators.CHUNK_BLOCKS * 2
+
+    @pytest.mark.parametrize("variant, params", [
+        ("sqrt2", {}),
+        ("sqrt2", {"random_start_phase": True}),
+        ("pi", {}),
+        ("e", {}),
+        ("zeta", {}),
+        ("sec_tan", {"max_size": 4}),
+        ("integral", {}),
+    ])
+    def test_every_sampler_draws_through_the_executor(self, variant, params, monkeypatch):
+        labels, derived = [], []
+        map_blocks, derive = estimators._map_blocks, estimators.derive_stream
+
+        def recording_map_blocks(seed, jobs, workers=1):
+            labels.extend(label for label, _, _ in jobs)
+            return map_blocks(seed, jobs, workers)
+
+        def recording_derive(seed, stream_id):
+            derived.append(stream_id.experiment_label)
+            return derive(seed, stream_id)
+
+        monkeypatch.setattr(estimators, "_map_blocks", recording_map_blocks)
+        monkeypatch.setattr(estimators, "derive_stream", recording_derive)
+        run_config(config(variant, seed=3, trials=2000, **params))
+        assert labels
+        assert derived and set(derived) <= set(labels)

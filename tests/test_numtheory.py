@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -123,9 +124,17 @@ class TestCoprimeProbabilityExact:
         assert probability == Fraction(mobius_coprime_count(3, 10), 1000)
 
     def test_matches_mobius_formula(self):
-        for m, bound in ((2, 30), (3, 12), (4, 6)):
+        for m, bound in ((2, 30), (3, 12), (4, 6), (5, 100), (2, 10_001)):
             expected = Fraction(mobius_coprime_count(m, bound), bound ** m)
             assert coprime_probability_exact(m, bound) == expected
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_brute_force_enumeration(self, m):
+        # A reference that does not use Mobius inversion: every tuple's gcd.
+        for bound in range(1, 13):
+            coprime = sum(math.gcd(*values) == 1
+                          for values in product(range(1, bound + 1), repeat=m))
+            assert coprime_probability_exact(m, bound) == Fraction(coprime, bound ** m)
 
     def test_two_by_hundred_near_basel(self):
         probability = float(coprime_probability_exact(2, 100))
@@ -137,11 +146,10 @@ class TestCoprimeProbabilityExact:
                 for bound in (10, 50, 100)]
         assert gaps[0] > gaps[1] > gaps[2]
 
-    def test_size_guard(self):
+    @pytest.mark.parametrize("m, bound", [(1, 10), (65, 2), (2, 10 ** 7 + 1)])
+    def test_size_guard(self, m, bound):
         with pytest.raises(ValueError):
-            coprime_probability_exact(5, 100)
-        with pytest.raises(ValueError):
-            coprime_probability_exact(1, 10)
+            coprime_probability_exact(m, bound)
 
 
 def test_even_zeta_coefficients_match_partial_sums():
