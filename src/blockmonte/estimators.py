@@ -17,7 +17,7 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -326,25 +326,43 @@ def _flagged_orders(dropper: Dropper, flags: np.ndarray) -> Callable:
 # pi
 
 
-def _build_pi(params: dict) -> SlimeArena | None:
-    """The slime arena of a pi run, None for uniform_ideal.  An unset drift
-    becomes (0.3, -0.3) for slime_walk_drift and (0, 0) otherwise; no other
-    sampler takes a non-zero one.  Building the arena here runs its reach
-    rule (step plus drift below the square side) before any trial."""
+def _build_pi(params: dict) -> tuple[Callable, Callable]:
+    """pi's (block, cells): ``cells(stream, count)``, the (x, z) int64 cells
+    of ``count`` uniform points or slime deaths, and ``block``, the count of
+    points inside the disc.  An unset drift becomes (0.3, -0.3) for
+    slime_walk_drift and (0, 0) otherwise; no other sampler takes a non-zero
+    one.  Building the arena here runs its reach rule before any trial."""
     drifting = params["sampler_mode"] == "slime_walk_drift"
     if params["drift"] is None:
         params["drift"] = [0.3, -0.3] if drifting else [0.0, 0.0]
     elif not drifting and params["drift"] != [0.0, 0.0]:
         raise ValueError("invalid value for 'drift': only slime_walk_drift accepts a bias")
-    if params["sampler_mode"] == "uniform_ideal":
-        return None
-    try:
-        return SlimeArena(half_width=params["radius"], step_cells=params["step_cells"],
-                          turn_probability=params["turn_probability"],
-                          drift_bias=tuple(params["drift"]),
-                          kill_probability=params["kill_probability"])
-    except ValueError as exc:
-        raise ValueError(f"invalid value for 'step_cells': {exc}") from None
+    radius = params["radius"]
+    uniform = params["sampler_mode"] == "uniform_ideal"
+    if uniform:
+        def cells(stream, count):
+            points = _uniform_points(stream, count, radius)
+            return tuple(np.floor(points, out=points).astype(np.int64))
+    else:
+        try:
+            arena = SlimeArena(half_width=radius, step_cells=params["step_cells"],
+                               turn_probability=params["turn_probability"],
+                               drift_bias=tuple(params["drift"]),
+                               kill_probability=params["kill_probability"])
+        except ValueError as exc:
+            raise ValueError(f"invalid value for 'step_cells': {exc}") from None
+
+        def cells(stream, count):
+            return tuple(slime_death_cells(arena, stream, count).T)
+
+    if uniform and params["raster_mode"] == "exact_disc":
+        def block(stream, count):
+            return int(np.count_nonzero(_disc_mask(stream, count, radius)))
+    else:
+        def block(stream, count):
+            # a raster cell, or a death cell in the exact disc, is inside iff its center is
+            return int(np.count_nonzero(cells_in_disc(*cells(stream, count), radius)))
+    return block, cells
 
 
 def _uniform_points(stream, count: int, radius: int) -> np.ndarray:
@@ -364,44 +382,25 @@ def _uniform_points(stream, count: int, radius: int) -> np.ndarray:
     return points
 
 
-def _pi_cells(stream, count: int, radius: int, arena) -> tuple[np.ndarray, np.ndarray]:
-    """Cell coordinates of ``count`` sampled points: the cells holding
-    uniform points, or slime death cells."""
-    if arena is None:
-        points = _uniform_points(stream, count, radius)
-        cells = np.floor(points, out=points).astype(np.int64)
-        return cells[0], cells[1]
-    cells = slime_death_cells(arena, stream, count)
-    return cells[:, 0], cells[:, 1]
-
-
-def _pi_inside_mask(stream, count: int, params: dict, arena) -> np.ndarray:
-    radius = params["radius"]
-    if arena is None and params["raster_mode"] == "exact_disc":
-        # (x - 0.5)^2 + (z - 0.5)^2 <= R^2, in place
-        points = _uniform_points(stream, count, radius)
-        points -= 0.5
-        np.square(points, out=points)
-        distance2 = np.add(points[0], points[1], out=points[0])
-        return distance2 <= float(radius) ** 2
-    # a raster cell, or a death cell in the exact disc, is inside iff its center is
-    return cells_in_disc(*_pi_cells(stream, count, radius, arena), radius)
+def _disc_mask(stream, count: int, radius: int) -> np.ndarray:
+    """Which of ``count`` uniform points lie in the continuous disc:
+    (x - 0.5)^2 + (z - 0.5)^2 <= R^2, in place."""
+    points = _uniform_points(stream, count, radius)
+    points -= 0.5
+    np.square(points, out=points)
+    distance2 = np.add(points[0], points[1], out=points[0])
+    return distance2 <= float(radius) ** 2
 
 
 def estimate_pi(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Monte Carlo disc experiment: estimate = 4 * inside / total."""
-    params = dict(config.params)
-
-    def block(stream, count):
-        return int(np.count_nonzero(_pi_inside_mask(stream, count, params, config.model)))
-
-    [inside] = _map_blocks(config.master_seed, [("pi", config.trials, block)], workers)
-    return _pi_record(inside, config.trials, config.master_seed, params)
+    [inside] = _map_blocks(config.master_seed, [("pi", config.trials, config.model[0])], workers)
+    return _pi_record(inside, config.trials, config.master_seed, dict(config.params))
 
 
 def collect_pi_outcomes(config: ExperimentConfig,
                         limit: int = 10_000) -> tuple[np.ndarray, np.ndarray]:
-    """Death cells for a scatter plot, as (x, z) int64 arrays, drawn with
+    """Sampled cells for a scatter plot, as (x, z) int64 arrays, drawn with
     the config's seed.
 
     Uses its own block-0 stream sized to ``limit``, so the dots are a
@@ -409,7 +408,7 @@ def collect_pi_outcomes(config: ExperimentConfig,
     of the full estimating run.
     """
     stream = derive_stream(config.master_seed, StreamId("pi/scatter", 0))
-    return _pi_cells(stream, min(config.trials, limit), config.params["radius"], config.model)
+    return config.model[1](stream, min(config.trials, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +457,14 @@ def _gcd_table() -> np.ndarray:
     return grid
 
 
-def _coprime_rows(values: np.ndarray, table: np.ndarray | None = None) -> int:
+def _coprime_rows(values: np.ndarray, table: np.ndarray) -> int:
     """Number of rows of positive integers whose gcd is 1.
 
-    With ``table`` (``_gcd_table()``), rows whose values are all below the
-    table side chain their gcd through it, one lookup per column; the other
-    rows chain the binary gcd column by column, which is cheaper than
+    Rows whose values are all below the side of ``table`` (``_gcd_table()``)
+    chain their gcd through it, one lookup per column; the other rows chain
+    the binary gcd column by column, which is cheaper than
     ``np.gcd.reduce`` along the short row axis.
     """
-    if table is None:
-        return _chained_gcd_coprime(values)
     if values.max() < GCD_TABLE_SIDE:
         return _table_coprime(values, table)
     small = values[:, 0] < GCD_TABLE_SIDE
@@ -502,28 +499,28 @@ def reference_zeta(m: int) -> float:
 
 def _build_zeta(params: dict) -> Callable:
     """zeta's block function, the coprime count of its m-tuples: uniform
-    draws on [1, value_bound], or random-tick waits of the scheduler."""
+    draws on [1, value_bound], or random-tick waits of the scheduler.  The
+    gcd table is built here, before any worker thread reads it, and only
+    for a block that reads it."""
     m = params["m"]
-    uniform = params["sampler_mode"] == "uniform"
-    # Random ticks draw geometric values, almost all below the table side.
-    # The table is built here, before any worker thread reads it.
-    table = _gcd_table() if not uniform or params["value_bound"] < GCD_TABLE_SIDE else None
-    if uniform:
+    if params["sampler_mode"] == "uniform":
         bound = params["value_bound"]
+        coprime = (partial(_table_coprime, table=_gcd_table()) if bound < GCD_TABLE_SIDE
+                   else _chained_gcd_coprime)
         # int32 below 2^31, where 1 can be added in place, feeds the int32 gcd as drawn
         dtype = np.int32 if bound < 2 ** 31 else np.int64
 
         def block(stream, count):
             values = stream.int_below_block(bound, (count, m), dtype)
             values += 1
-            return _coprime_rows(values, table)
+            return coprime(values)
     else:
+        # Random ticks draw geometric values, almost all below the table side.
         sched = RandomTickScheduler(speed_multiplier=params["speed_multiplier"])
-        growth = params["growth_prob"]
+        growth, table = params["growth_prob"], _gcd_table()
 
         def block(stream, count):
-            return _coprime_rows(ticks_until_growth_block(sched, growth, stream, (count, m)),
-                                 table)
+            return _coprime_rows(ticks_until_growth_block(sched, growth, stream, (count, m)), table)
     return block
 
 
@@ -839,11 +836,11 @@ def _bin_bounds(f, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_integral(params: dict) -> tuple:
-    """(f, heights, bands, y_low, y_high, reference, echo): ``function_spec``
-    compiled; the column heights as floats, None in continuous mode; the
-    (L, U) bounds of f per bin of u (_bin_bounds), None in rasterized mode;
-    the box's height range, spanning 0, f on _EXTREMA_SAMPLES evenly spaced
-    points of [a, b] and the heights; the reference; and the reference's
+    """(block, y_low, y_high, reference, echo): the block function, the
+    [above, below] hits of points uniform in the box against the columns
+    (``_column_hits``) or f (``_banded_hits``), None if no point can land
+    off the axis; the box's height range, spanning 0, f on _EXTREMA_SAMPLES
+    evenly spaced points of [a, b] and the heights; the reference; and its
     params echo (the quadrature's error estimate and convergence)."""
     a, b = params["a"], params["b"]
     if not a < b:
@@ -856,14 +853,26 @@ def _build_integral(params: dict) -> tuple:
     values = f(np.linspace(a, b, _EXTREMA_SAMPLES))
     y_low = min(0.0, float(values.min()))
     y_high = max(0.0, float(values.max()))
-    if not rasterized:
+    if rasterized:
+        curve = rasterize_curve(f, a, b)
+        heights = np.asarray(curve.heights, dtype=float)
+        y_low, y_high = min(y_low, float(heights.min())), max(y_high, float(heights.max()))
+        reference, echo = float(curve.signed_column_area()), {}
+        hits = partial(_column_hits, heights, a, b) if heights.any() else None
+    else:
         reference, abserr, converged = gauss_kronrod(f, a, b)
-        return (f, None, _bin_bounds(f, a, b), y_low, y_high, reference,
-                {"reference_abserr": abserr, "reference_converged": converged})
-    curve = rasterize_curve(f, a, b)
-    heights = np.asarray(curve.heights, dtype=float)
-    return (f, heights, None, min(y_low, float(heights.min())),
-            max(y_high, float(heights.max())), float(curve.signed_column_area()), {})
+        echo = {"reference_abserr": abserr, "reference_converged": converged}
+        hits = partial(_banded_hits, f, _bin_bounds(f, a, b), a, b)
+    if y_high == y_low or hits is None:  # f is 0 on the grid, or every column is
+        return None, y_low, y_high, reference, echo
+
+    def block(stream, count):
+        u = stream.float_block(count)
+        ys = stream.float_block(count)  # y_low + v * (y_high - y_low), in place
+        ys *= y_high - y_low
+        ys += y_low
+        return hits(u, ys)
+    return block, y_low, y_high, reference, echo
 
 
 def _signed_hits(ys: np.ndarray, curve: np.ndarray) -> np.ndarray:
@@ -876,6 +885,16 @@ def _signed_hits(ys: np.ndarray, curve: np.ndarray) -> np.ndarray:
     np.greater_equal(ys, curve, out=buffer)
     hit &= buffer
     return np.array([above, np.count_nonzero(hit)], dtype=np.int64)
+
+
+def _column_hits(heights, a: int, b: int, u: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``_signed_hits`` against the heights of columns floor(a + u * (b - a)) - a."""
+    u *= b - a  # in place
+    u += a
+    columns = np.floor(u, out=u).astype(np.intp)
+    columns -= a
+    np.clip(columns, 0, len(heights) - 1, out=columns)
+    return _signed_hits(ys, heights.take(columns))
 
 
 def _banded_hits(f, bands: tuple, a: int, b: int, u: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -906,36 +925,15 @@ def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRec
     bin cannot settle (``_banded_hits``), with the same counts and errors.
     """
     params = dict(config.params)
-    f, heights, bands, y_low, y_high, reference, echo = config.model
+    block, y_low, y_high, reference, echo = config.model
     params.update(echo)
-    a, b = params["a"], params["b"]
-
-    if y_high == y_low or (heights is not None and not heights.any()):
-        # An identically-zero f (the only one with a flat box, which always
-        # spans 0) or all-zero columns: nothing can land strictly above or
-        # below the axis, so the net estimate is exactly 0, with no sampling.
+    if block is None:  # nothing can land off the axis: the net estimate is exactly 0
         params["note"] = "flat zero curve; estimate exact"
         return EstimateRecord("integral", 0.0, config.trials, 0, 0.0, 0.0, 0.0, reference,
                               config.master_seed, params)
-    box_area = (b - a) * (y_high - y_low)
+    box_area = (params["b"] - params["a"]) * (y_high - y_low)
     if not math.isfinite(box_area):
         raise DegenerateRegionError("sampling box area is not finite")
-
-    def block(stream, count):
-        u = stream.float_block(count)
-        ys = stream.float_block(count)  # y_low + v * (y_high - y_low), in place
-        ys *= y_high - y_low
-        ys += y_low
-        if heights is not None:
-            xs = u  # column floor(a + u * (b - a)) - a, in place
-            xs *= b - a
-            xs += a
-            columns = np.floor(xs, out=xs).astype(np.intp)
-            columns -= a
-            np.clip(columns, 0, len(heights) - 1, out=columns)
-            return _signed_hits(ys, heights.take(columns))
-        return _banded_hits(f, bands, a, b, u, ys)
-
     [hits] = _map_blocks(config.master_seed, [("integral", config.trials, block)], workers)
     above, below = (int(h) for h in hits)
     if above + below == 0:  # zero hits would read as a certain zero, stderr 0
@@ -1068,7 +1066,8 @@ class Variant:
     parameter table, in params-echo order; ``build(params)`` runs after
     coercion on the coerced params alone, rejects what no single field can,
     may fill an unset (None) default that depends on another field, and
-    returns the devices and tables the sampler runs, as ``config.model``;
+    returns, as ``config.model``, the block functions the sampler maps,
+    each picked once for the config's mode, with what the record reads;
     ``replay`` is None if its counts cannot be replayed."""
 
     sample: Callable

@@ -54,8 +54,8 @@ class RunManifest:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not self.run_id:
-            raise ValueError("invalid value for 'run_id': must be non-empty")
+        if self.run_id in ("", ".", "..") or "/" in self.run_id or "\0" in self.run_id:
+            raise ValueError(f"invalid value for 'run_id': {self.run_id!r} is not a file name")
         if not self.formats:
             raise ValueError("invalid value for 'formats': at least one required")
         for fmt in self.formats:
@@ -117,8 +117,10 @@ def run_experiment(manifest: RunManifest) -> list[EstimateRecord]:
     """Execute every config and write one report row per record.
 
     Degenerate samples do not abort the run: the record is marked failed
-    (estimate null) and the remaining configs still execute.
+    (estimate null) and the remaining configs still execute.  The output
+    directory is made before the first trial.
     """
+    manifest.output_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for config in manifest.configs:
         try:
@@ -156,22 +158,17 @@ def report_row(run_id: str, record: EstimateRecord) -> dict:
 
 
 def write_reports(manifest: RunManifest, records: list[EstimateRecord]) -> list[Path]:
-    manifest.output_dir.mkdir(parents=True, exist_ok=True)
+    """Write ``<run_id>.<format>`` per table format, and one scatter plot per
+    sampled pi row for svg, into the existing output directory."""
     rows = [report_row(manifest.run_id, record) for record in records]
     written = []
-    base = manifest.output_dir / manifest.run_id
-    if "jsonl" in manifest.formats:
-        path = base.with_suffix(".jsonl")
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-        written.append(path)
-    if "csv" in manifest.formats:
-        path = base.with_suffix(".csv")
-        path.write_text(_render_csv(rows), encoding="utf-8")
-        written.append(path)
-    if "txt" in manifest.formats:
-        path = base.with_suffix(".txt")
-        path.write_text("".join(_summary_line(row) + "\n" for row in rows), encoding="utf-8")
-        written.append(path)
+    for fmt, render in (("jsonl", lambda: "".join(json.dumps(row) + "\n" for row in rows)),
+                        ("csv", lambda: _render_csv(rows)),
+                        ("txt", lambda: "".join(_summary_line(row) + "\n" for row in rows))):
+        if fmt in manifest.formats:
+            path = manifest.output_dir / f"{manifest.run_id}.{fmt}"
+            path.write_text(render(), encoding="utf-8")
+            written.append(path)
     if "svg" in manifest.formats:
         for index, (config, record) in enumerate(zip(manifest.configs, records)):
             # A counts replay kept no dots to draw.

@@ -46,6 +46,10 @@ seed = 3
 """
 
 
+def no_trial(*args, **kwargs):
+    raise AssertionError("a trial ran")
+
+
 class TestManifest:
     def test_load_parses_sections(self, tmp_path):
         path = write_manifest(tmp_path / "demo.ini", BASIC_MANIFEST.format(out=tmp_path / "out"))
@@ -68,6 +72,11 @@ class TestManifest:
     def test_run_id_must_be_non_empty(self):
         with pytest.raises(ValueError, match="run_id"):
             RunManifest(run_id="", configs=[], output_dir="x")
+
+    @pytest.mark.parametrize("run_id", [".", "..", "a/b", "/abs", "a\0b"])
+    def test_run_id_must_be_a_file_name(self, run_id):
+        with pytest.raises(ValueError, match="'run_id'"):
+            RunManifest(run_id=run_id, configs=[], output_dir="x")
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="formats"):
@@ -453,6 +462,50 @@ class TestCommandLine:
         assert "'worker'" in err
         assert all(key in err for key in runner.RUN_KEYS)
         assert not out.exists()
+
+    def test_report_files_keep_every_dot_of_the_run_id(self, tmp_path, capsys):
+        code = cli.main(["estimate", "pi", "--trials", "2000", "--run-id", "v1.2",
+                         "--out", str(tmp_path), "--format", "jsonl,csv,svg,txt"])
+        assert code == 0
+        assert sorted(child.name for child in tmp_path.iterdir()) == [
+            "v1.2.csv", "v1.2.jsonl", "v1.2.txt", "v1.2_00_pi.svg"]
+
+    def test_a_manifest_named_with_a_dot_names_its_files_by_its_run_id(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_manifest(tmp_path / "runs.v2.ini", f"[run]\noutput_dir = {out}\n"
+                              "formats = jsonl,csv\n\n[e]\nvariant = e\ntrials = 100\n")
+        assert cli.main(["run", str(path)]) == 0
+        assert sorted(child.name for child in out.iterdir()) == ["runs.v2.csv", "runs.v2.jsonl"]
+        row = json.loads((out / "runs.v2.jsonl").read_text(encoding="utf-8"))
+        assert row["run_id"] == "runs.v2"
+
+    @pytest.mark.parametrize("run_id", ["a/b", ".", ".."])
+    def test_a_run_id_that_is_not_a_file_name_exits_two_before_the_first_trial(
+            self, tmp_path, capsys, monkeypatch, run_id):
+        monkeypatch.setattr(runner, "run_config", no_trial)
+        out = tmp_path / "out"
+        code = cli.main(["estimate", "pi", "--trials", "100", "--run-id", run_id,
+                         "--out", str(out)])
+        assert code == 2
+        assert "'run_id'" in capsys.readouterr().err
+        path = write_manifest(tmp_path / "m.ini", f"[run]\nrun_id = {run_id}\n"
+                              f"output_dir = {out}\n\n[pi]\nvariant = pi\n")
+        assert cli.main(["run", str(path)]) == 2
+        assert "'run_id'" in capsys.readouterr().err
+        assert [child.name for child in tmp_path.iterdir()] == ["m.ini"]
+
+    def test_an_output_dir_that_is_a_file_exits_one_before_the_first_trial(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "run_config", no_trial)
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert cli.main(["estimate", "pi", "--trials", "100", "--out", str(taken)]) == 1
+        assert "filesystem error" in capsys.readouterr().err
+        path = write_manifest(tmp_path / "m.ini", f"[run]\noutput_dir = {taken}\n\n"
+                              "[pi]\nvariant = pi\n")
+        assert cli.main(["run", str(path)]) == 1
+        assert "filesystem error" in capsys.readouterr().err
+        assert taken.read_text(encoding="utf-8") == ""
 
     def test_raster_circle_text(self, capsys):
         assert cli.main(["raster", "circle", "--radius", "2", "--txt"]) == 0

@@ -506,7 +506,7 @@ class TestGcdKernels:
         values = gcd_block(kind, m)
         expected = chained_int64_gcd_coprime(values)
         assert estimators._coprime_rows(values, estimators._gcd_table()) == expected
-        assert estimators._coprime_rows(values) == expected
+        assert estimators._chained_gcd_coprime(values) == expected
 
     def test_uniform_points_are_the_two_former_draws(self):
         count, radius = 5000, 12
@@ -516,11 +516,10 @@ class TestGcdKernels:
         points = estimators._uniform_points(derive_stream(7, StreamId("pi", 0)), count, radius)
         assert np.array_equal(points[0], xs) and np.array_equal(points[1], zs)
 
-        inside = estimators._pi_inside_mask(derive_stream(7, StreamId("pi", 0)), count,
-                                            {"radius": radius, "raster_mode": "exact_disc"},
-                                            None)
+        inside = estimators._disc_mask(derive_stream(7, StreamId("pi", 0)), count, radius)
         assert np.array_equal(inside, (xs - 0.5) ** 2 + (zs - 0.5) ** 2 <= float(radius) ** 2)
-        cx, cz = estimators._pi_cells(derive_stream(7, StreamId("pi", 0)), count, radius, None)
+        cells = config("pi", radius=radius).model[1]
+        cx, cz = cells(derive_stream(7, StreamId("pi", 0)), count)
         assert np.array_equal(cx, np.floor(xs).astype(np.int64))
         assert np.array_equal(cz, np.floor(zs).astype(np.int64))
 
@@ -546,6 +545,10 @@ class TestIntegral:
         record = estimate_integral(config("integral", function_spec="0*x", a=0, b=1))
         assert record.estimate == 0.0
         assert record.stderr == 0.0
+
+    @pytest.mark.parametrize("raster_mode", ["continuous", "rasterized"])
+    def test_a_flat_zero_curve_builds_no_block(self, raster_mode):
+        assert config("integral", function_spec="0*x", raster_mode=raster_mode).model[0] is None
 
     def test_no_hits_on_a_tall_box_is_degenerate(self):
         with pytest.raises(DegenerateSampleError):
@@ -757,7 +760,8 @@ class TestEnclosure:
         ("tan(x)", 0, 8),
     ])
     def test_each_bin_holds_f_at_the_samplers_points(self, spec, a, b):
-        f, _, bands, *_ = config("integral", function_spec=spec, a=a, b=b).model
+        f = parse_function(spec)
+        bands = estimators._bin_bounds(f, a, b)
         u = derive_stream(0, StreamId("enclosure-test", 0)).float_block(1 << 16)
         bins = np.arange(estimators.ENCLOSURE_BINS)
         edge_u = np.concatenate([bins, bins + 1 - 2.0 ** -40]) / estimators.ENCLOSURE_BINS
@@ -771,7 +775,9 @@ class TestEnclosure:
 class TestBandedHits:
     @pytest.mark.parametrize("spec, a, b", CONTINUOUS_INTEGRANDS)
     def test_the_counts_equal_those_of_f_on_every_point(self, spec, a, b):
-        f, _, bands, y_low, y_high, *_ = config("integral", function_spec=spec, a=a, b=b).model
+        f = parse_function(spec)
+        bands = estimators._bin_bounds(f, a, b)
+        y_low, y_high = config("integral", function_spec=spec, a=a, b=b).model[1:3]
         blocks, count, undecided = 300, estimators.BLOCK_TRIALS, 0
         for index in range(blocks):
             stream = derive_stream(index, StreamId("integral", index))
@@ -982,18 +988,24 @@ class TestExecutor:
     @pytest.mark.parametrize("variant, params", [
         ("sqrt2", {}),
         ("sqrt2", {"random_start_phase": True}),
-        ("pi", {}),
+        *[("pi", {"sampler_mode": sampler, "raster_mode": raster})
+          for sampler in ("uniform_ideal", "slime_walk", "slime_walk_drift")
+          for raster in ("raster", "exact_disc")],
         ("e", {}),
-        ("zeta", {}),
+        ("zeta", {"value_bound": 10 ** 6}),
+        ("zeta", {"value_bound": 100}),
+        ("zeta", {"sampler_mode": "random_tick"}),
         ("sec_tan", {"max_size": 4}),
-        ("integral", {}),
+        ("integral", {"raster_mode": "continuous"}),
+        ("integral", {"raster_mode": "rasterized"}),
     ])
     def test_every_sampler_draws_through_the_executor(self, variant, params, monkeypatch):
-        labels, derived = [], []
+        labels, block_fns, derived = [], [], []
         map_blocks, derive = estimators._map_blocks, estimators.derive_stream
 
         def recording_map_blocks(seed, jobs, workers=1):
             labels.extend(label for label, _, _ in jobs)
+            block_fns.extend(block_fn for _, _, block_fn in jobs)
             return map_blocks(seed, jobs, workers)
 
         def recording_derive(seed, stream_id):
@@ -1002,6 +1014,11 @@ class TestExecutor:
 
         monkeypatch.setattr(estimators, "_map_blocks", recording_map_blocks)
         monkeypatch.setattr(estimators, "derive_stream", recording_derive)
-        run_config(config(variant, seed=3, trials=2000, **params))
+        run = config(variant, seed=3, trials=2000, **params)
+        run_config(run)
         assert labels
         assert derived and set(derived) <= set(labels)
+        # the build picked every block function; the sampler only maps them
+        model = [run.model] if callable(run.model) else [
+            part for item in run.model for part in (item if isinstance(item, tuple) else [item])]
+        assert all(any(block_fn is part for part in model) for block_fn in block_fns)
