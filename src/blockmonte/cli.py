@@ -8,6 +8,7 @@ seed; an explicit --seed or manifest seed wins.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,8 +20,8 @@ from .errors import DegenerateResultError
 from .estimators import VARIANTS, ExperimentConfig, Param, run_config
 from .geometry import archimedes_bounds, raster_to_text, rasterize_circle
 from .numtheory import coprime_probability_exact, euler_product_partial, zeta_partial
-from .runner import (SCATTER_RADIUS_LIMIT, RunManifest, load_manifest, parse_formats,
-                     report_row, run_experiment)
+from .runner import (SCATTER_RADIUS_LIMIT, RunManifest, check_run_id, load_manifest,
+                     parse_formats, report_row, run_experiment)
 
 SEED_ENV_VAR = "BLOCKMONTE_SEED"
 
@@ -108,13 +109,14 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _cmd_estimate(args) -> int:
+    run_id = args.variant if args.run_id is None else args.run_id
+    check_run_id(run_id)
     params = _parse_params(args.param)
     if args.from_counts is not None:
         params["counts"] = args.from_counts
     seed = args.seed if args.seed is not None else _default_seed()
     config = ExperimentConfig(variant=args.variant, master_seed=seed,
                               trials=args.trials, variant_params=params)
-    run_id = args.run_id or args.variant
     started = time.perf_counter()
     if args.out is not None:
         formats = parse_formats("jsonl" if args.format is None else args.format)
@@ -131,7 +133,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_run(args) -> int:
     manifest = load_manifest(args.manifest, default_seed=_default_seed())
     if args.workers is not None:
-        manifest.workers = args.workers
+        manifest = dataclasses.replace(manifest, workers=args.workers)
     started = time.perf_counter()
     records = run_experiment(manifest)
     return _print_records(manifest.run_id, records, started, f" -> {manifest.output_dir}")

@@ -54,8 +54,7 @@ class RunManifest:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.run_id in ("", ".", "..") or "/" in self.run_id or "\0" in self.run_id:
-            raise ValueError(f"invalid value for 'run_id': {self.run_id!r} is not a file name")
+        check_run_id(self.run_id)
         if not self.formats:
             raise ValueError("invalid value for 'formats': at least one required")
         for fmt in self.formats:
@@ -71,6 +70,12 @@ class RunManifest:
                         and config.params["radius"] > SCATTER_RADIUS_LIMIT):
                     raise ValueError(f"invalid value for 'radius': svg scatter plots "
                                      f"take radii up to {SCATTER_RADIUS_LIMIT}")
+
+
+def check_run_id(run_id: str) -> None:
+    """A run id names its report files, so it must be a plain file name."""
+    if run_id in ("", ".", "..") or "/" in run_id or "\0" in run_id:
+        raise ValueError(f"invalid value for 'run_id': {run_id!r} is not a file name")
 
 
 def load_manifest(path, default_seed: int = 0) -> RunManifest:

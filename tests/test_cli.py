@@ -479,7 +479,7 @@ class TestCommandLine:
         row = json.loads((out / "runs.v2.jsonl").read_text(encoding="utf-8"))
         assert row["run_id"] == "runs.v2"
 
-    @pytest.mark.parametrize("run_id", ["a/b", ".", ".."])
+    @pytest.mark.parametrize("run_id", ["a/b", ".", "..", ""])
     def test_a_run_id_that_is_not_a_file_name_exits_two_before_the_first_trial(
             self, tmp_path, capsys, monkeypatch, run_id):
         monkeypatch.setattr(runner, "run_config", no_trial)
@@ -493,6 +493,26 @@ class TestCommandLine:
         assert cli.main(["run", str(path)]) == 2
         assert "'run_id'" in capsys.readouterr().err
         assert [child.name for child in tmp_path.iterdir()] == ["m.ini"]
+
+    @pytest.mark.parametrize("run_id", ["", ".", "..", "a/b", "a\0b"])
+    def test_a_run_id_that_is_not_a_file_name_exits_two_without_out(
+            self, capsys, monkeypatch, run_id):
+        monkeypatch.setattr(runner, "run_config", no_trial)
+        monkeypatch.setattr(cli, "run_config", no_trial)
+        assert cli.main(["estimate", "e", "--trials", "100", "--run-id", run_id]) == 2
+        captured = capsys.readouterr()
+        assert "'run_id'" in captured.err
+        assert captured.out == ""
+
+    def test_a_workers_override_is_checked_before_the_output_dir_is_made(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "run_config", no_trial)
+        out = tmp_path / "out"
+        path = write_manifest(tmp_path / "m.ini", f"[run]\noutput_dir = {out}\n\n"
+                              "[pi]\nvariant = pi\n")
+        assert cli.main(["run", str(path), "--workers", "0"]) == 2
+        assert "'workers'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_an_output_dir_that_is_a_file_exits_one_before_the_first_trial(
             self, tmp_path, capsys, monkeypatch):

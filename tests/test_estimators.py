@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockmonte import cli, estimators
+from blockmonte import cli, estimators, expr
 from blockmonte.combinatorics import derangement_count, zigzag_count
 from blockmonte.errors import (
     DegenerateCourseError,
@@ -637,6 +637,9 @@ class TestIntegral:
         assert f(2.0) == pytest.approx(4 * math.sin(2.0) + np.cbrt(2.0), rel=1e-15)
         assert parse_function("2")(np.arange(3)).tolist() == [2.0, 2.0, 2.0]
 
+    def test_the_estimators_module_reexports_the_expression_parser(self):
+        assert estimators.parse_function is expr.parse_function
+
     def test_bad_syntax_rejected(self):
         with pytest.raises(ValueError, match="function_spec"):
             estimate_integral(config("integral", function_spec="x +* 2"))
@@ -749,7 +752,7 @@ class TestEnclosure:
             raise RecursionError
 
         f = parse_function("x + 1")
-        monkeypatch.setattr(estimators, "_enclosure", too_deep)
+        monkeypatch.setattr(expr, "_enclosure", too_deep)
         bounds = f.enclose(np.zeros(2), np.ones(2))
         assert [bound.tolist() for bound in bounds] == [[-math.inf] * 2, [math.inf] * 2]
 
