@@ -17,7 +17,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,18 +75,13 @@ class ExperimentConfig:
     trials: int = 10_000
     variant_params: InitVar[dict | None] = None
     params: dict = field(init=False)
-    # what the variant's build made for its sampler; None for a counts replay
-    model: object = field(init=False, repr=False, compare=False)
+    # the Run the variant's build picked, or a counts replay's
+    model: Run = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, variant_params: dict | None) -> None:
-        for key, value in (("seed", self.master_seed), ("trials", self.trials)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"invalid value for '{key}': {value!r} is not an integer")
-        if not 0 <= self.master_seed < (1 << 64):
-            raise ValueError("invalid value for 'seed': must be an unsigned 64-bit integer")
-        if self.trials < 1:
-            raise ValueError("invalid value for 'trials': must be >= 1")
-        params, model = resolve_params(self.variant, variant_params or {})
+        object.__setattr__(self, "master_seed", SEED.coerce("seed", self.master_seed))
+        object.__setattr__(self, "trials", COUNT.coerce("trials", self.trials))
+        params, model = resolve_params(self.variant, variant_params or {}, self.trials)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "model", model)
 
@@ -183,6 +178,7 @@ class Param:
     ``kind`` is int, float, bool, choice, str or pair (a list of two ``item`` values).
     Bounds are inclusive (``minimum``, ``maximum``) or exclusive (``above``);
     a pair's bounds apply to each of its values.  Defaults are used as given.
+    A ``text=False`` entry is set from Python alone and refuses a string.
     """
 
     kind: str
@@ -192,6 +188,7 @@ class Param:
     above: float | None = None
     choices: tuple[str, ...] = ()
     item: str = "float"
+    text: bool = True
 
     def coerce(self, name: str, raw):
         """``raw`` (a manifest or CLI string, or a Python value) as this
@@ -224,7 +221,7 @@ class Param:
                 return False
             raise bad(f"{raw!r} is not a boolean")
         expected = "an integer" if kind == "int" else "a number"
-        if isinstance(raw, bool):
+        if isinstance(raw, bool) or (isinstance(raw, str) and not self.text):
             raise bad(f"{raw!r} is not {expected}")
         try:
             if kind == "int":
@@ -244,13 +241,31 @@ class Param:
         return value
 
 
-def resolve_params(variant: str, raw: dict) -> tuple[dict, object]:
-    """Coerce ``raw`` against ``VARIANTS[variant].params``, defaults filling
-    the rest, then run the variant's build; with a ``counts`` key, coerce
-    it against the variant's replay table instead.
+# A config's seed and trials, and a run's workers; a manifest or the CLI
+# coerces its text through Param("int") first.
+SEED = Param("int", minimum=0, maximum=2 ** 64 - 1, text=False)
+COUNT = Param("int", minimum=1, text=False)
 
-    Returns (params echo in table order, pairs as lists; the build's model,
-    None for a replay).  Unknown keys and bad values raise ValueError naming the field.
+
+class Run(NamedTuple):
+    """What a build picked for its config's run, once: ``jobs``, the
+    (label, trials, block function) tuples ``_map_blocks`` runs;
+    ``record(totals, seed)``, the record from their totals, one per job;
+    ``cells``, pi's scatter cells (``collect_pi_outcomes``), else None."""
+
+    jobs: list[tuple[str, int, Callable]]
+    record: Callable[[list, int | None], EstimateRecord]
+    cells: Callable | None = None
+
+
+def resolve_params(variant: str, raw: dict, trials: int) -> tuple[dict, Run]:
+    """Coerce ``raw`` against ``VARIANTS[variant].params``, defaults filling
+    the rest, then run the variant's build for ``trials``; with a ``counts``
+    key, coerce it against the variant's replay table instead.
+
+    Returns (params echo in table order, pairs as lists; the build's Run,
+    or for a replay one with no jobs).  Unknown keys and bad values raise
+    ValueError naming the field.
     """
     if variant not in VARIANTS:
         raise ValueError(f"invalid value for 'variant': {variant!r} "
@@ -260,9 +275,10 @@ def resolve_params(variant: str, raw: dict) -> tuple[dict, object]:
         if entry.replay is None:
             raise ValueError("invalid value for 'variant': counts replay supports " + ", ".join(
                 name for name, other in VARIANTS.items() if other.replay is not None))
-        return _coerce_table(variant, entry.replay.params, raw), None
+        params = _coerce_table(variant, entry.replay.params, raw)
+        return params, Run([], lambda totals, seed: _replay(variant, params))
     params = _coerce_table(variant, entry.params, raw)
-    return params, entry.build(params)
+    return params, entry.build(params, trials)
 
 
 def _coerce_table(variant: str, table: dict[str, Param], raw: dict) -> dict:
@@ -309,6 +325,16 @@ def _map_blocks(seed: int, jobs: list[tuple[str, int, Callable]], workers: int =
     return totals
 
 
+def sample(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
+    """Every variant's sampler: the record from the totals of the config's jobs."""
+    run = config.model
+    return run.record(_map_blocks(config.master_seed, run.jobs, workers), config.master_seed)
+
+
+estimate_sqrt2 = estimate_pi = estimate_e = sample
+estimate_zeta = estimate_sec_tan = estimate_integral = sample
+
+
 def _flagged_orders(dropper: Dropper, flags: np.ndarray) -> Callable:
     """Block function counting the dropper orders whose rank is flagged.
 
@@ -326,10 +352,12 @@ def _flagged_orders(dropper: Dropper, flags: np.ndarray) -> Callable:
 # pi
 
 
-def _build_pi(params: dict) -> tuple[Callable, Callable]:
-    """pi's (block, cells): ``cells(stream, count)``, the (x, z) int64 cells
-    of ``count`` uniform points or slime deaths, and ``block``, the count of
-    points inside the disc.  An unset drift becomes (0.3, -0.3) for
+def _build_pi(params: dict, trials: int) -> Run:
+    """Monte Carlo disc experiment: estimate = 4 * inside / total.
+
+    ``cells(stream, count)`` gives the (x, z) int64 cells of ``count``
+    uniform points or slime deaths; the job's block counts the points
+    inside the disc.  An unset drift becomes (0.3, -0.3) for
     slime_walk_drift and (0, 0) otherwise; no other sampler takes a non-zero
     one.  Building the arena here runs its reach rule before any trial."""
     drifting = params["sampler_mode"] == "slime_walk_drift"
@@ -362,7 +390,11 @@ def _build_pi(params: dict) -> tuple[Callable, Callable]:
         def block(stream, count):
             # a raster cell, or a death cell in the exact disc, is inside iff its center is
             return int(np.count_nonzero(cells_in_disc(*cells(stream, count), radius)))
-    return block, cells
+
+    def record(totals, seed):
+        [inside] = totals
+        return _pi_record(inside, trials, seed, dict(params))
+    return Run([("pi", trials, block)], record, cells)
 
 
 def _uniform_points(stream, count: int, radius: int) -> np.ndarray:
@@ -392,12 +424,6 @@ def _disc_mask(stream, count: int, radius: int) -> np.ndarray:
     return distance2 <= float(radius) ** 2
 
 
-def estimate_pi(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
-    """Monte Carlo disc experiment: estimate = 4 * inside / total."""
-    [inside] = _map_blocks(config.master_seed, [("pi", config.trials, config.model[0])], workers)
-    return _pi_record(inside, config.trials, config.master_seed, dict(config.params))
-
-
 def collect_pi_outcomes(config: ExperimentConfig,
                         limit: int = 10_000) -> tuple[np.ndarray, np.ndarray]:
     """Sampled cells for a scatter plot, as (x, z) int64 arrays, drawn with
@@ -408,29 +434,28 @@ def collect_pi_outcomes(config: ExperimentConfig,
     of the full estimating run.
     """
     stream = derive_stream(config.master_seed, StreamId("pi/scatter", 0))
-    return config.model[1](stream, min(config.trials, limit))
+    return config.model.cells(stream, min(config.trials, limit))
 
 
 # ---------------------------------------------------------------------------
 # e
 
 
-def _build_e(params: dict) -> Callable:
-    """e's block function: the derangement count of a permutation_size dropper."""
-    size = params["permutation_size"]
-    return _flagged_orders(Dropper(slot_count=size), derangement_flags(size))
-
-
-def estimate_e(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
-    """Derangement experiment: estimate = trials / derangements.
+def _build_e(params: dict, trials: int) -> Run:
+    """Derangement experiment: estimate = trials / derangements, the block
+    counting the derangements of a permutation_size dropper.
 
     The default size 9 matches the ejector's capacity; the systematic gap
     between 9!/D(9) and e is ~1.9e-6, far below sampling noise at any
     achievable trial count.
     """
-    params = dict(config.params)
-    [derangements] = _map_blocks(config.master_seed, [("e", config.trials, config.model)], workers)
-    return _e_record(config.trials, derangements, config.master_seed, params)
+    size = params["permutation_size"]
+    block = _flagged_orders(Dropper(slot_count=size), derangement_flags(size))
+
+    def record(totals, seed):
+        [derangements] = totals
+        return _e_record(trials, derangements, seed, dict(params))
+    return Run([("e", trials, block)], record)
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +522,20 @@ def reference_zeta(m: int) -> float:
     return zeta_value(m)
 
 
-def _build_zeta(params: dict) -> Callable:
-    """zeta's block function, the coprime count of its m-tuples: uniform
-    draws on [1, value_bound], or random-tick waits of the scheduler.  The
-    gcd table is built here, before any worker thread reads it, and only
-    for a block that reads it."""
+def _build_zeta(params: dict, trials: int) -> Run:
+    """Coprimality experiment: estimate = tuples / coprime_tuples.
+
+    The uniform sampler's block draws m-tuples on [1, value_bound]; the
+    random_tick sampler's mirrors the waiting-time device instead and its
+    values follow a geometric (negative binomial) law, not a uniform one,
+    which the record flags in its params.  For even m the record also
+    carries the implied pi^m value, since zeta(2k) is a rational multiple
+    of pi^(2k).  The gcd table is built here, before any worker thread
+    reads it, and only for a block that reads it.
+    """
     m = params["m"]
     if params["sampler_mode"] == "uniform":
+        distribution = "uniform"
         bound = params["value_bound"]
         coprime = (partial(_table_coprime, table=_gcd_table()) if bound < GCD_TABLE_SIDE
                    else _chained_gcd_coprime)
@@ -516,72 +548,57 @@ def _build_zeta(params: dict) -> Callable:
             return coprime(values)
     else:
         # Random ticks draw geometric values, almost all below the table side.
+        distribution = "negative_binomial_non_uniform"
         sched = RandomTickScheduler(speed_multiplier=params["speed_multiplier"])
         growth, table = params["growth_prob"], _gcd_table()
 
         def block(stream, count):
             return _coprime_rows(ticks_until_growth_block(sched, growth, stream, (count, m)), table)
-    return block
 
-
-def estimate_zeta(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
-    """Coprimality experiment: estimate = tuples / coprime_tuples.
-
-    The uniform sampler draws m-tuples on [1, value_bound]; the random_tick
-    sampler mirrors the waiting-time device instead and its values follow a
-    geometric (negative binomial) law, not a uniform one, which the record
-    flags in its params.  For even m the record also carries the implied
-    pi^m value, since zeta(2k) is a rational multiple of pi^(2k).
-    """
-    params = dict(config.params)
-    m = params["m"]
-    [coprime] = _map_blocks(config.master_seed, [("zeta", config.trials, config.model)], workers)
-    params["value_distribution"] = ("uniform" if params["sampler_mode"] == "uniform"
-                                    else "negative_binomial_non_uniform")
-    record = _zeta_record(config.trials, coprime, config.master_seed, params)
-    if m in ZETA_EVEN_PI_COEFFICIENT:
-        scale = 1.0 / float(ZETA_EVEN_PI_COEFFICIENT[m])
-        params["pi_power"] = m
-        params["pi_power_estimate"] = scale * record.estimate
-        params["pi_power_stderr"] = scale * record.stderr
-        params["pi_power_reference"] = CONSTANTS.pi ** m
-    return record
+    def record(totals, seed):
+        [coprime] = totals
+        echo = dict(params, value_distribution=distribution)
+        result = _zeta_record(trials, coprime, seed, echo)
+        if m in ZETA_EVEN_PI_COEFFICIENT:
+            scale = 1.0 / float(ZETA_EVEN_PI_COEFFICIENT[m])
+            echo["pi_power"] = m
+            echo["pi_power_estimate"] = scale * result.estimate
+            echo["pi_power_stderr"] = scale * result.stderr
+            echo["pi_power_reference"] = CONSTANTS.pi ** m
+        return result
+    return Run([("zeta", trials, block)], record)
 
 
 # ---------------------------------------------------------------------------
 # sec(1) + tan(1)
 
 
-def _build_sec_tan(params: dict) -> list[tuple[int, Callable]]:
-    """(size, block function) for each size from 2 to max_size: the
-    alternating-order count of a dropper of that size."""
-    return [(size, _flagged_orders(Dropper(slot_count=size), alternating_flags(size)))
-            for size in range(2, params["max_size"] + 1)]
-
-
-def estimate_sec_tan(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
+def _build_sec_tan(params: dict, trials: int) -> Run:
     """Sum over sizes n <= max_size of the alternating fraction A_n/n!.
 
-    Sizes 0 and 1 contribute exactly 1 each; every larger size gets
-    config.trials sampled permutations.  The estimand is the max_size
-    partial sum of the series whose limit is sec(1)+tan(1).
+    Sizes 0 and 1 contribute exactly 1 each; every larger size is one job
+    of ``trials`` sampled orders of a dropper of that size, its block
+    counting the alternating ones.  The estimand is the max_size partial
+    sum of the series whose limit is sec(1)+tan(1).
     """
-    params = dict(config.params)
-    jobs = [(f"sec_tan/size{size}", config.trials, block) for size, block in config.model]
-    per_size = [[size, hits] for (size, _), hits in
-                zip(config.model, _map_blocks(config.master_seed, jobs, workers))]
-    estimate = float(min(params["max_size"] + 1, 2))
-    variance = 0.0
-    for _, hits in per_size:
-        fraction = hits / config.trials
-        estimate += fraction
-        variance += fraction * (1.0 - fraction) / config.trials
-    stderr = math.sqrt(variance)
-    params["trials_per_size"] = config.trials
-    params["alternating_counts"] = per_size
-    return EstimateRecord("sec_tan", estimate, config.trials * len(per_size), None, stderr,
-                          estimate - Z_95 * stderr, estimate + Z_95 * stderr,
-                          CONSTANTS.sec1_plus_tan1, config.master_seed, params)
+    sizes = range(2, params["max_size"] + 1)
+
+    def record(totals, seed):
+        estimate = float(min(params["max_size"] + 1, 2))
+        variance = 0.0
+        for hits in totals:
+            fraction = hits / trials
+            estimate += fraction
+            variance += fraction * (1.0 - fraction) / trials
+        stderr = math.sqrt(variance)
+        echo = dict(params, trials_per_size=trials,
+                    alternating_counts=[[size, hits] for size, hits in zip(sizes, totals)])
+        return EstimateRecord("sec_tan", estimate, trials * len(totals), None, stderr,
+                              estimate - Z_95 * stderr, estimate + Z_95 * stderr,
+                              CONSTANTS.sec1_plus_tan1, seed, echo)
+    return Run([(f"sec_tan/size{size}", trials,
+                 _flagged_orders(Dropper(slot_count=size), alternating_flags(size)))
+                for size in sizes], record)
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +622,19 @@ def _bin_bounds(f, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     return f.enclose(np.maximum(edges[:-1] - spare, a), edges[1:] + spare)
 
 
-def _build_integral(params: dict) -> tuple:
-    """(block, y_low, y_high, reference, echo): the block function, the
-    [above, below] hits of points uniform in the box against the columns
-    (``_column_hits``) or f (``_banded_hits``), None if no point can land
-    off the axis; the box's height range, spanning 0, f on _EXTREMA_SAMPLES
-    evenly spaced points of [a, b] and the heights; the reference; and its
-    params echo (the quadrature's error estimate and convergence)."""
+def _build_integral(params: dict, trials: int) -> Run:
+    """Signed-area Monte Carlo for the integral of f over [a, b].
+
+    Points are uniform in the box [a, b] x [y_low, y_high], spanning 0, f
+    on _EXTREMA_SAMPLES evenly spaced points of [a, b] and the heights; the
+    estimate is (above-axis hits - below-axis hits) * box_area / trials.
+    Rasterized, the curve is the block-column step function and the
+    reference the exact signed sum of column areas.  Continuous, the
+    reference is adaptive Gauss-Kronrod quadrature's, its error estimate
+    and convergence echoed, and a block calls f only on the points that
+    f's bounds on their bin cannot settle (``_banded_hits``), with the same
+    counts and errors.  A flat curve, or a box of infinite area, runs no job.
+    """
     a, b = params["a"], params["b"]
     if not a < b:
         raise ValueError("invalid value for 'b': bounds must satisfy a < b")
@@ -627,14 +650,22 @@ def _build_integral(params: dict) -> tuple:
         curve = rasterize_curve(f, a, b)
         heights = np.asarray(curve.heights, dtype=float)
         y_low, y_high = min(y_low, float(heights.min())), max(y_high, float(heights.max()))
-        reference, echo = float(curve.signed_column_area()), {}
+        reference, echo = float(curve.signed_column_area()), dict(params)
         hits = partial(_column_hits, heights, a, b) if heights.any() else None
     else:
         reference, abserr, converged = gauss_kronrod(f, a, b)
-        echo = {"reference_abserr": abserr, "reference_converged": converged}
+        echo = dict(params, reference_abserr=abserr, reference_converged=converged)
         hits = partial(_banded_hits, f, _bin_bounds(f, a, b), a, b)
+    box_area = (b - a) * (y_high - y_low)
     if y_high == y_low or hits is None:  # f is 0 on the grid, or every column is
-        return None, y_low, y_high, reference, echo
+        def record(totals, seed):  # nothing can land off the axis: the net estimate is exactly 0
+            return EstimateRecord("integral", 0.0, trials, 0, 0.0, 0.0, 0.0, reference, seed,
+                                  dict(echo, note="flat zero curve; estimate exact"))
+        return Run([], record)
+    if not math.isfinite(box_area):
+        def record(totals, seed):
+            raise DegenerateRegionError("sampling box area is not finite")
+        return Run([], record)
 
     def block(stream, count):
         u = stream.float_block(count)
@@ -642,7 +673,23 @@ def _build_integral(params: dict) -> tuple:
         ys *= y_high - y_low
         ys += y_low
         return hits(u, ys)
-    return block, y_low, y_high, reference, echo
+
+    def record(totals, seed):
+        [hits_total] = totals
+        above, below = (int(h) for h in hits_total)
+        if above + below == 0:  # zero hits would read as a certain zero, stderr 0
+            raise DegenerateSampleError("no point landed between the curve and the axis")
+        net = (above - below) / trials
+        hit = (above + below) / trials
+        estimate = net * box_area
+        stderr = box_area * math.sqrt(max(0.0, hit - net * net) / trials)
+        ci_low, ci_high = estimate - Z_95 * stderr, estimate + Z_95 * stderr
+        if not (math.isfinite(ci_low) and math.isfinite(ci_high)):
+            raise DegenerateRegionError("interval on the sampling box is not finite")
+        return EstimateRecord("integral", estimate, trials, above + below, stderr, ci_low,
+                              ci_high, reference, seed,
+                              dict(echo, hits_above=above, hits_below=below))
+    return Run([("integral", trials, block)], record)
 
 
 def _signed_hits(ys: np.ndarray, curve: np.ndarray) -> np.ndarray:
@@ -682,55 +729,20 @@ def _banded_hits(f, bands: tuple, a: int, b: int, u: np.ndarray, ys: np.ndarray)
     return settled + _signed_hits(ys[rest], f(a + u[rest] * (b - a)))
 
 
-def estimate_integral(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
-    """Signed-area Monte Carlo for the integral of f over [a, b].
-
-    Points are uniform on [a, b] x [y_low, y_high]; the estimate is
-    (above-axis hits - below-axis hits) * box_area / trials.  In rasterized
-    mode the curve is the block-column step function and the reference is
-    the exact signed sum of column areas; in continuous mode the reference
-    comes from adaptive Gauss-Kronrod quadrature, and the params echo its
-    error estimate and whether it converged within its interval budget.
-    A continuous block calls f only on the points that f's bounds on their
-    bin cannot settle (``_banded_hits``), with the same counts and errors.
-    """
-    params = dict(config.params)
-    block, y_low, y_high, reference, echo = config.model
-    params.update(echo)
-    if block is None:  # nothing can land off the axis: the net estimate is exactly 0
-        params["note"] = "flat zero curve; estimate exact"
-        return EstimateRecord("integral", 0.0, config.trials, 0, 0.0, 0.0, 0.0, reference,
-                              config.master_seed, params)
-    box_area = (params["b"] - params["a"]) * (y_high - y_low)
-    if not math.isfinite(box_area):
-        raise DegenerateRegionError("sampling box area is not finite")
-    [hits] = _map_blocks(config.master_seed, [("integral", config.trials, block)], workers)
-    above, below = (int(h) for h in hits)
-    if above + below == 0:  # zero hits would read as a certain zero, stderr 0
-        raise DegenerateSampleError("no point landed between the curve and the axis")
-    net = (above - below) / config.trials
-    hit = (above + below) / config.trials
-    estimate = net * box_area
-    stderr = box_area * math.sqrt(max(0.0, hit - net * net) / config.trials)
-    ci_low, ci_high = estimate - Z_95 * stderr, estimate + Z_95 * stderr
-    if not (math.isfinite(ci_low) and math.isfinite(ci_high)):
-        raise DegenerateRegionError("interval on the sampling box is not finite")
-    params["hits_above"] = above
-    params["hits_below"] = below
-    return EstimateRecord("integral", estimate, config.trials, above + below, stderr, ci_low,
-                          ci_high, reference, config.master_seed, params)
-
-
 # ---------------------------------------------------------------------------
 # sqrt(2)
 
 
-def _build_sqrt2(params: dict) -> Callable:
-    """sqrt2's block function: [leg_items, hyp_items], the hopper timer read
-    over the course's leg and hypotenuse times, each from phase 0 or, with
-    random_start_phase, uniform in [0, period), the leg's drawn first.
-    Rejects a hypotenuse window that, plus one period of phase, reaches
-    HOPPER_MAX_PERIODS timer periods."""
+def _build_sqrt2(params: dict, trials: int) -> Run:
+    """Diagonal-course timing experiment: estimate = hyp_items / leg_items.
+
+    Its one job is a single read, whatever ``trials``: the block gives
+    [leg_items, hyp_items], the hopper timer read over the course's leg and
+    hypotenuse times.  Deterministic at fixed speed; the only error term is
+    timer quantization.  With random_start_phase each window starts at a
+    phase uniform in [0, period), the leg's drawn first, modelling a timer
+    that was already running.  Rejects a hypotenuse window that, plus one
+    period of phase, reaches HOPPER_MAX_PERIODS timer periods."""
     period = params["period"]
     try:
         windows = traversal_seconds(TriangleCourse(params["leg_blocks"], params["speed"]))
@@ -747,22 +759,11 @@ def _build_sqrt2(params: dict) -> Callable:
         return [hopper_items_in_window(timer, window, phase)
                 for window, phase in zip(windows, phases)]
 
-    return block
-
-
-def estimate_sqrt2(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
-    """Diagonal-course timing experiment: estimate = hyp_items / leg_items.
-
-    Deterministic at fixed speed; the only error term is timer quantization.
-    With random_start_phase the two timing windows each get a start offset
-    uniform in [0, period), modelling a timer that was already running.
-    """
-    params = dict(config.params)
-    [(leg_items, hyp_items)] = _map_blocks(config.master_seed, [("sqrt2", 1, config.model)],
-                                           workers)
-    params["leg_items"] = leg_items
-    params["hyp_items"] = hyp_items
-    return _quotient_record(hyp_items, leg_items, config.master_seed, params)
+    def record(totals, seed):
+        [(leg_items, hyp_items)] = totals
+        return _quotient_record(hyp_items, leg_items, seed,
+                                dict(params, leg_items=leg_items, hyp_items=hyp_items))
+    return Run([("sqrt2", 1, block)], record)
 
 
 # ---------------------------------------------------------------------------
@@ -832,29 +833,28 @@ def _replay(variant: str, params: dict) -> EstimateRecord:
 
 @dataclass(frozen=True)
 class Variant:
-    """One variant: ``sample(config, workers=1)`` runs it; ``params`` is its
-    parameter table, in params-echo order; ``build(params)`` runs after
-    coercion on the coerced params alone, rejects what no single field can,
-    may fill an unset (None) default that depends on another field, and
-    returns, as ``config.model``, the block functions the sampler maps,
-    each picked once for the config's mode, with what the record reads;
-    ``replay`` is None if its counts cannot be replayed."""
+    """One variant: ``params`` is its parameter table, in params-echo order;
+    ``build(params, trials)`` runs after coercion on the coerced params
+    alone, rejects what no single field can, may fill an unset (None)
+    default that depends on another field, and returns, as ``config.model``,
+    the config's ``Run``, its block functions and record rule picked once
+    for the config's mode; ``replay`` is None if its counts cannot be
+    replayed."""
 
-    sample: Callable
     params: dict[str, Param]
-    build: Callable[[dict], object]
+    build: Callable[[dict, int], Run]
     replay: Replay | None = None
 
 
 VARIANTS: dict[str, Variant] = {
-    "sqrt2": Variant(estimate_sqrt2, {
+    "sqrt2": Variant({
         "leg_blocks": Param("int", 100, minimum=1),
         "speed": Param("float", DEFAULT_WALK_SPEED, above=0),
         "period": Param("float", HOPPER_PERIOD_SECONDS, above=0),
         "random_start_phase": Param("bool", False),
     }, _build_sqrt2,
         Replay(4, True, _quotient_record, _REPLAY_PARAMS, ("hyp_items", "leg_items"))),
-    "pi": Variant(estimate_pi, {
+    "pi": Variant({
         # Beyond 2^30 the int64 disc test x^2 + z^2 <= r^2 could overflow.
         "radius": Param("int", 50, minimum=1, maximum=2 ** 30),
         "sampler_mode": Param("choice", "uniform_ideal",
@@ -868,11 +868,11 @@ VARIANTS: dict[str, Variant] = {
         "kill_probability": Param("float", 0.05, minimum=1e-3, maximum=1),
         "drift": Param("pair"),  # unset: (0.3, -0.3) for slime_walk_drift, else (0, 0)
     }, _build_pi, Replay(3, False, _pi_record, _REPLAY_PARAMS, ("inside", "total"))),
-    "e": Variant(estimate_e, {
+    "e": Variant({
         "permutation_size": Param("int", DROPPER_MAX_SLOTS, minimum=2,
                                   maximum=DROPPER_MAX_SLOTS),
     }, _build_e, Replay(5, True, _e_record, _REPLAY_PARAMS)),
-    "zeta": Variant(estimate_zeta, {
+    "zeta": Variant({
         # Each block draws a (65,536 x m) array, int32 below value_bound
         # 2^31 and int64 from there, about 0.5 MB per unit of m and worker
         # at most; and from m = 54 on zeta(m) is 1.0 in double precision,
@@ -888,10 +888,10 @@ VARIANTS: dict[str, Variant] = {
         "speed_multiplier": Param("int", 64, minimum=1, maximum=4096 // 3),
     }, _build_zeta,
         Replay(4, False, _zeta_record, {**_REPLAY_PARAMS, "m": Param("int", 3, minimum=2)})),
-    "sec_tan": Variant(estimate_sec_tan, {
+    "sec_tan": Variant({
         "max_size": Param("int", DROPPER_MAX_SLOTS, minimum=0, maximum=DROPPER_MAX_SLOTS),
     }, _build_sec_tan),
-    "integral": Variant(estimate_integral, {
+    "integral": Variant({
         "function_spec": Param("str", "x**2*sin(x) + cbrt(x)"),
         "a": Param("int", 0, minimum=-2 ** 53, maximum=2 ** 53),
         "b": Param("int", 8, minimum=-2 ** 53, maximum=2 ** 53),
@@ -900,14 +900,12 @@ VARIANTS: dict[str, Variant] = {
 }
 
 # run_config dispatches through this dict at call time, so a wrapper put
-# in it (a tracer, a test double) sees every sampled run.
-_ESTIMATORS = {name: variant.sample for name, variant in VARIANTS.items()}
+# in it (a tracer, a test double) sees every sampled run and no replay.
+_ESTIMATORS = dict.fromkeys(VARIANTS, sample)
 
 
 def run_config(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Execute one experiment config (or replay its counts) into a record."""
-    if workers < 1:
-        raise ValueError("invalid value for 'workers': must be >= 1")
-    if "counts" in config.params:
-        return _replay(config.variant, config.params)
-    return _ESTIMATORS[config.variant](config, workers=workers)
+    workers = COUNT.coerce("workers", workers)
+    run = sample if "counts" in config.params else _ESTIMATORS[config.variant]
+    return run(config, workers=workers)

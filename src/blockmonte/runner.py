@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DegenerateResultError
 from .estimators import (
+    COUNT,
     ExperimentConfig,
     EstimateRecord,
     Param,
@@ -61,12 +62,11 @@ class RunManifest:
             if fmt not in REPORT_FORMATS:
                 raise ValueError(f"invalid value for 'formats': {fmt!r} "
                                  f"(expected subset of {', '.join(REPORT_FORMATS)})")
-        if self.workers < 1:
-            raise ValueError("invalid value for 'workers': must be >= 1")
+        self.workers = COUNT.coerce("workers", self.workers)
         self.output_dir = Path(self.output_dir)
         if "svg" in self.formats:
             for config in self.configs:
-                if (config.variant == "pi" and "counts" not in config.params
+                if (config.model.cells is not None
                         and config.params["radius"] > SCATTER_RADIUS_LIMIT):
                     raise ValueError(f"invalid value for 'radius': svg scatter plots "
                                      f"take radii up to {SCATTER_RADIUS_LIMIT}")
@@ -176,9 +176,8 @@ def write_reports(manifest: RunManifest, records: list[EstimateRecord]) -> list[
             written.append(path)
     if "svg" in manifest.formats:
         for index, (config, record) in enumerate(zip(manifest.configs, records)):
-            # A counts replay kept no dots to draw.
-            if (config.variant != "pi" or record.estimate is None
-                    or "counts" in config.params):
+            # Only a sampled pi run has cells; a counts replay kept no dots to draw.
+            if config.model.cells is None or record.estimate is None:
                 continue
             path = manifest.output_dir / f"{manifest.run_id}_{index:02d}_pi.svg"
             xs, zs = collect_pi_outcomes(config, SCATTER_DOT_LIMIT)

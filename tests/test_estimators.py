@@ -35,6 +35,7 @@ from blockmonte.geometry import GridCell
 from blockmonte.mechanics import Dropper, dropper_rank_block
 from blockmonte.numtheory import coprime_probability_exact
 from blockmonte.rng import StreamId, derive_stream
+from blockmonte.runner import RunManifest
 from blockmonte.stats import CONSTANTS
 
 SQRT2 = CONSTANTS.sqrt2
@@ -45,6 +46,9 @@ ZETA3 = CONSTANTS.zeta3
 # Exact antiderivative of x^2 sin(x) + cbrt(x) evaluated over [0, 8]:
 # [-x^2 cos x + 2x sin x + 2 cos x + (3/4) x^(4/3)].
 SHOWCASE_INTEGRAL = -62 * math.cos(8) + 16 * math.sin(8) + 10
+
+# A valid recorded tally per replayable variant.
+REPLAY_COUNTS = {"sqrt2": "99,70", "pi": "508,619", "e": "647,238", "zeta": "70,58"}
 
 
 def config(variant, seed=0, trials=10_000, **params):
@@ -75,6 +79,35 @@ class TestConfigValidation:
     def test_non_positive_workers_names_the_field(self, workers):
         with pytest.raises(ValueError, match="'workers'"):
             run_config(config("pi", trials=100), workers=workers)
+
+    @pytest.mark.parametrize("workers", [2.5, True, "2", 0])
+    def test_workers_is_checked_as_an_integer_by_both_entry_points(self, workers, monkeypatch,
+                                                                  tmp_path):
+        monkeypatch.setattr(estimators.os, "cpu_count", lambda: 4)
+        cfg = config("e", trials=5 * estimators.BLOCK_TRIALS)
+        with pytest.raises(ValueError, match="'workers'"):
+            run_config(cfg, workers=workers)
+        with pytest.raises(ValueError, match="'workers'"):
+            RunManifest(run_id="w", configs=[cfg], output_dir=tmp_path, workers=workers)
+
+    def test_numpy_integers_are_taken_for_seed_trials_and_workers(self, tmp_path):
+        given = ExperimentConfig("pi", master_seed=np.int64(3), trials=np.int64(100))
+        assert given == ExperimentConfig("pi", master_seed=3, trials=100)
+        assert type(given.master_seed) is int and type(given.trials) is int
+        assert run_config(given, workers=np.int64(2)) == run_config(given)
+        manifest = RunManifest(run_id="w", configs=[given], output_dir=tmp_path,
+                               workers=np.int64(2))
+        assert type(manifest.workers) is int
+
+    @pytest.mark.parametrize("field, values", [
+        ("seed", {"master_seed": -1}),
+        ("seed", {"master_seed": 1 << 64}),
+        ("trials", {"trials": -5}),
+    ])
+    def test_out_of_range_seed_and_trials_name_the_field(self, field, values):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            ExperimentConfig("pi", **values)
+        assert ExperimentConfig("pi", master_seed=(1 << 64) - 1).master_seed == (1 << 64) - 1
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError, match="wobble"):
@@ -168,9 +201,8 @@ class TestConfigValidation:
 
 class TestRegistry:
     def test_dispatch_replay_and_cli_read_the_registry(self):
-        assert set(estimators._ESTIMATORS) == set(estimators.VARIANTS)
-        for name, variant in estimators.VARIANTS.items():
-            assert estimators._ESTIMATORS[name] is variant.sample
+        assert list(estimators._ESTIMATORS) == list(estimators.VARIANTS)
+        assert all(fn is estimators.sample for fn in estimators._ESTIMATORS.values())
         replayable = {name for name, variant in estimators.VARIANTS.items() if variant.replay}
         assert replayable == {"sqrt2", "pi", "e", "zeta"}
         [commands] = [action for action in cli.build_parser()._actions
@@ -178,6 +210,31 @@ class TestRegistry:
         [choice] = [action for action in commands.choices["estimate"]._actions
                     if action.dest == "variant"]
         assert list(choice.choices) == list(estimators.VARIANTS)
+
+    def test_sampled_configs_and_no_replay_run_through_the_dispatch_table(self, monkeypatch):
+        seen = []
+        for name, sampler in list(estimators._ESTIMATORS.items()):
+            def wrapper(cfg, workers=1, sampler=sampler):
+                seen.append(cfg)
+                return sampler(cfg, workers=workers)
+            monkeypatch.setitem(estimators._ESTIMATORS, name, wrapper)
+        sampled = [config(name, trials=100) for name in estimators.VARIANTS]
+        for cfg in sampled:
+            assert run_config(cfg).variant == cfg.variant
+        assert [id(cfg) for cfg in seen] == [id(cfg) for cfg in sampled]
+        for name, counts in REPLAY_COUNTS.items():
+            assert run_config(config(name, counts=counts)).variant == name
+        assert len(seen) == len(sampled)
+
+    def test_only_a_sampled_pi_config_has_scatter_cells(self):
+        for sampler_mode in ("uniform_ideal", "slime_walk", "slime_walk_drift"):
+            assert callable(config("pi", sampler_mode=sampler_mode).model.cells)
+        for name in estimators.VARIANTS:
+            if name != "pi":
+                assert config(name).model.cells is None
+        for name, counts in REPLAY_COUNTS.items():
+            replay = config(name, counts=counts)
+            assert replay.model.cells is None and replay.model.jobs == []
 
     def test_readme_parameter_table_matches_the_registry(self):
         text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -518,7 +575,7 @@ class TestGcdKernels:
 
         inside = estimators._disc_mask(derive_stream(7, StreamId("pi", 0)), count, radius)
         assert np.array_equal(inside, (xs - 0.5) ** 2 + (zs - 0.5) ** 2 <= float(radius) ** 2)
-        cells = config("pi", radius=radius).model[1]
+        cells = config("pi", radius=radius).model.cells
         cx, cz = cells(derive_stream(7, StreamId("pi", 0)), count)
         assert np.array_equal(cx, np.floor(xs).astype(np.int64))
         assert np.array_equal(cz, np.floor(zs).astype(np.int64))
@@ -548,7 +605,7 @@ class TestIntegral:
 
     @pytest.mark.parametrize("raster_mode", ["continuous", "rasterized"])
     def test_a_flat_zero_curve_builds_no_block(self, raster_mode):
-        assert config("integral", function_spec="0*x", raster_mode=raster_mode).model[0] is None
+        assert config("integral", function_spec="0*x", raster_mode=raster_mode).model.jobs == []
 
     def test_no_hits_on_a_tall_box_is_degenerate(self):
         with pytest.raises(DegenerateSampleError):
@@ -780,7 +837,9 @@ class TestBandedHits:
     def test_the_counts_equal_those_of_f_on_every_point(self, spec, a, b):
         f = parse_function(spec)
         bands = estimators._bin_bounds(f, a, b)
-        y_low, y_high = config("integral", function_spec=spec, a=a, b=b).model[1:3]
+        # the build's box: spanning 0 and f on its _EXTREMA_SAMPLES grid
+        grid = f(np.linspace(a, b, estimators._EXTREMA_SAMPLES))
+        y_low, y_high = min(0.0, float(grid.min())), max(0.0, float(grid.max()))
         blocks, count, undecided = 300, estimators.BLOCK_TRIALS, 0
         for index in range(blocks):
             stream = derive_stream(index, StreamId("integral", index))
@@ -1003,12 +1062,12 @@ class TestExecutor:
         ("integral", {"raster_mode": "rasterized"}),
     ])
     def test_every_sampler_draws_through_the_executor(self, variant, params, monkeypatch):
-        labels, block_fns, derived = [], [], []
+        labels, mapped, derived = [], [], []
         map_blocks, derive = estimators._map_blocks, estimators.derive_stream
 
         def recording_map_blocks(seed, jobs, workers=1):
             labels.extend(label for label, _, _ in jobs)
-            block_fns.extend(block_fn for _, _, block_fn in jobs)
+            mapped.extend(jobs)
             return map_blocks(seed, jobs, workers)
 
         def recording_derive(seed, stream_id):
@@ -1021,7 +1080,5 @@ class TestExecutor:
         run_config(run)
         assert labels
         assert derived and set(derived) <= set(labels)
-        # the build picked every block function; the sampler only maps them
-        model = [run.model] if callable(run.model) else [
-            part for item in run.model for part in (item if isinstance(item, tuple) else [item])]
-        assert all(any(block_fn is part for part in model) for block_fn in block_fns)
+        # the build picked every job; the sampler only maps them
+        assert all(any(job is built for built in run.model.jobs) for job in mapped)
