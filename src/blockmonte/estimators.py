@@ -261,11 +261,10 @@ class Run(NamedTuple):
 def resolve_params(variant: str, raw: dict, trials: int) -> tuple[dict, Run]:
     """Coerce ``raw`` against ``VARIANTS[variant].params``, defaults filling
     the rest, then run the variant's build for ``trials``; with a ``counts``
-    key, coerce it against the variant's replay table instead.
+    key, take the variant's replay entry instead.
 
-    Returns (params echo in table order, pairs as lists; the build's Run,
-    or for a replay one with no jobs).  Unknown keys and bad values raise
-    ValueError naming the field.
+    Returns (params echo in table order, pairs as lists; the build's Run).
+    Unknown keys and bad values raise ValueError naming the field.
     """
     if variant not in VARIANTS:
         raise ValueError(f"invalid value for 'variant': {variant!r} "
@@ -275,8 +274,7 @@ def resolve_params(variant: str, raw: dict, trials: int) -> tuple[dict, Run]:
         if entry.replay is None:
             raise ValueError("invalid value for 'variant': counts replay supports " + ", ".join(
                 name for name, other in VARIANTS.items() if other.replay is not None))
-        params = _coerce_table(variant, entry.replay.params, raw)
-        return params, Run([], lambda totals, seed: _replay(variant, params))
+        entry = entry.replay
     params = _coerce_table(variant, entry.params, raw)
     return params, entry.build(params, trials)
 
@@ -433,6 +431,8 @@ def collect_pi_outcomes(config: ExperimentConfig,
     reproducible sample of the configured experiment rather than a prefix
     of the full estimating run.
     """
+    if config.model.cells is None:
+        raise ValueError("invalid value for 'variant': only a sampled pi config has scatter cells")
     stream = derive_stream(config.master_seed, StreamId("pi/scatter", 0))
     return config.model.cells(stream, min(config.trials, limit))
 
@@ -777,23 +777,6 @@ _REPLAY_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class Replay:
-    """Count-only replay of one variant.  ``decimals`` is the display
-    precision the counts were first reported with; ``error_from_reported``
-    says whether that report quoted its error from the already-rounded
-    estimate (sqrt2 and e did; pi and zeta quoted the error of the full
-    ratio).  ``record`` is the variant's record builder, called as
-    ``record(first, second, None, params)``; ``echo`` names the params keys,
-    if any, that repeat the two counts."""
-
-    decimals: int
-    error_from_reported: bool
-    record: Callable
-    params: dict
-    echo: tuple[str, ...] = ()
-
-
 def estimate_from_counts(variant: str, counts: tuple[int, int], *, m: int = 3,
                          reported_decimals: int | None = None) -> EstimateRecord:
     """Pure arithmetic replay of a recorded (numerator, denominator) tally.
@@ -813,18 +796,26 @@ def estimate_from_counts(variant: str, counts: tuple[int, int], *, m: int = 3,
     return run_config(ExperimentConfig(variant, variant_params=raw))
 
 
-def _replay(variant: str, params: dict) -> EstimateRecord:
-    """Replay the counts in ``params``, resolved through the replay table."""
-    replay = VARIANTS[variant].replay
-    params = dict(params)
-    decimals = params.pop("reported_decimals")
-    params.update(zip(replay.echo, params["counts"]))
-    record = replay.record(*params["counts"], None, params)
-    reported_estimate = f"{record.estimate:.{replay.decimals if decimals is None else decimals}f}"
-    error_basis = float(reported_estimate) if replay.error_from_reported else record.estimate
-    record.params["reported_estimate"] = reported_estimate
-    record.params["reported_error_pct"] = f"{relative_error(error_basis, record.reference):#.3g}"
-    return record
+def _replay(decimals: int, from_reported: bool, builder: Callable, echo: tuple[str, ...],
+            params: dict, trials: int) -> Run:
+    """A count-only replay's build: a Run with no jobs whose record replays
+    the two counts in ``params`` through the variant's record builder, called
+    as ``builder(first, second, None, params)``.  ``decimals`` is the display
+    precision the counts were first reported with; ``from_reported`` says
+    whether that report quoted its error from the already-rounded estimate
+    (sqrt2 and e did; pi and zeta quoted the error of the full ratio);
+    ``echo`` names the params keys, if any, that repeat the two counts."""
+    def replay(totals, seed):
+        echoed = dict(params)
+        shown = echoed.pop("reported_decimals")
+        echoed.update(zip(echo, echoed["counts"]))
+        record = builder(*echoed["counts"], None, echoed)
+        reported_estimate = f"{record.estimate:.{decimals if shown is None else shown}f}"
+        basis = float(reported_estimate) if from_reported else record.estimate
+        record.params["reported_estimate"] = reported_estimate
+        record.params["reported_error_pct"] = f"{relative_error(basis, record.reference):#.3g}"
+        return record
+    return Run([], replay)
 
 
 # ---------------------------------------------------------------------------
@@ -838,12 +829,12 @@ class Variant:
     alone, rejects what no single field can, may fill an unset (None)
     default that depends on another field, and returns, as ``config.model``,
     the config's ``Run``, its block functions and record rule picked once
-    for the config's mode; ``replay`` is None if its counts cannot be
-    replayed."""
+    for the config's mode; ``replay`` is the entry a config with ``counts``
+    resolves through instead, or None if its counts cannot be replayed."""
 
     params: dict[str, Param]
     build: Callable[[dict, int], Run]
-    replay: Replay | None = None
+    replay: Variant | None = None
 
 
 VARIANTS: dict[str, Variant] = {
@@ -852,8 +843,8 @@ VARIANTS: dict[str, Variant] = {
         "speed": Param("float", DEFAULT_WALK_SPEED, above=0),
         "period": Param("float", HOPPER_PERIOD_SECONDS, above=0),
         "random_start_phase": Param("bool", False),
-    }, _build_sqrt2,
-        Replay(4, True, _quotient_record, _REPLAY_PARAMS, ("hyp_items", "leg_items"))),
+    }, _build_sqrt2, Variant(_REPLAY_PARAMS, partial(_replay, 4, True, _quotient_record,
+                                                     ("hyp_items", "leg_items")))),
     "pi": Variant({
         # Beyond 2^30 the int64 disc test x^2 + z^2 <= r^2 could overflow.
         "radius": Param("int", 50, minimum=1, maximum=2 ** 30),
@@ -867,11 +858,12 @@ VARIANTS: dict[str, Variant] = {
         # block takes seconds, at 1e-9 a run would take days.
         "kill_probability": Param("float", 0.05, minimum=1e-3, maximum=1),
         "drift": Param("pair"),  # unset: (0.3, -0.3) for slime_walk_drift, else (0, 0)
-    }, _build_pi, Replay(3, False, _pi_record, _REPLAY_PARAMS, ("inside", "total"))),
+    }, _build_pi, Variant(_REPLAY_PARAMS,
+                          partial(_replay, 3, False, _pi_record, ("inside", "total")))),
     "e": Variant({
         "permutation_size": Param("int", DROPPER_MAX_SLOTS, minimum=2,
                                   maximum=DROPPER_MAX_SLOTS),
-    }, _build_e, Replay(5, True, _e_record, _REPLAY_PARAMS)),
+    }, _build_e, Variant(_REPLAY_PARAMS, partial(_replay, 5, True, _e_record, ()))),
     "zeta": Variant({
         # Each block draws a (65,536 x m) array, int32 below value_bound
         # 2^31 and int64 from there, about 0.5 MB per unit of m and worker
@@ -886,8 +878,8 @@ VARIANTS: dict[str, Variant] = {
         "growth_prob": Param("float", 1.0 / 3.0, minimum=1e-14, maximum=1),
         # 3 picks per tick times this cannot exceed the 16^3-cell cube.
         "speed_multiplier": Param("int", 64, minimum=1, maximum=4096 // 3),
-    }, _build_zeta,
-        Replay(4, False, _zeta_record, {**_REPLAY_PARAMS, "m": Param("int", 3, minimum=2)})),
+    }, _build_zeta, Variant({**_REPLAY_PARAMS, "m": Param("int", 3, minimum=2)},
+                            partial(_replay, 4, False, _zeta_record, ()))),
     "sec_tan": Variant({
         "max_size": Param("int", DROPPER_MAX_SLOTS, minimum=0, maximum=DROPPER_MAX_SLOTS),
     }, _build_sec_tan),

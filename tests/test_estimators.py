@@ -1,6 +1,9 @@
 import argparse
 import copy
+import dataclasses
+import importlib
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -205,6 +208,9 @@ class TestRegistry:
         assert all(fn is estimators.sample for fn in estimators._ESTIMATORS.values())
         replayable = {name for name, variant in estimators.VARIANTS.items() if variant.replay}
         assert replayable == {"sqrt2", "pi", "e", "zeta"}
+        for name in replayable:
+            replay = estimators.VARIANTS[name].replay
+            assert isinstance(replay, estimators.Variant) and replay.replay is None
         [commands] = [action for action in cli.build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction)]
         [choice] = [action for action in commands.choices["estimate"]._actions
@@ -225,6 +231,29 @@ class TestRegistry:
         for name, counts in REPLAY_COUNTS.items():
             assert run_config(config(name, counts=counts)).variant == name
         assert len(seen) == len(sampled)
+
+    def test_a_counts_config_resolves_through_its_replay_entry(self, monkeypatch):
+        sentinel = estimators.Run([], lambda totals, seed: None)
+        built = []
+
+        def build(params, trials):
+            built.append((params, trials))
+            return sentinel
+        table = {"counts": estimators.Param("pair", item="int"),
+                 "scale": estimators.Param("int", 1)}
+        monkeypatch.setitem(estimators.VARIANTS, "e", dataclasses.replace(
+            estimators.VARIANTS["e"], replay=estimators.Variant(table, build)))
+        cfg = config("e", trials=7, counts="3,2", scale="4")
+        assert cfg.model is sentinel
+        assert cfg.params == {"counts": [3, 2], "scale": 4}
+        assert built == [({"counts": [3, 2], "scale": 4}, 7)]
+        with pytest.raises(ValueError, match="unknown parameter 'reported_decimals'"):
+            config("e", counts="3,2", reported_decimals=2)
+
+    def test_collect_pi_outcomes_without_scatter_cells_names_the_variant(self):
+        for cfg in (ExperimentConfig("e"), config("pi", counts=REPLAY_COUNTS["pi"])):
+            with pytest.raises(ValueError, match="'variant'"):
+                collect_pi_outcomes(cfg)
 
     def test_only_a_sampled_pi_config_has_scatter_cells(self):
         for sampler_mode in ("uniform_ideal", "slime_walk", "slime_walk_drift"):
@@ -258,6 +287,21 @@ class TestRegistry:
                 assert float(Fraction(default)) == param.default, key
             else:
                 assert param.coerce(key, default) == param.default, key
+
+
+    def test_readme_names_exist(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        owners = {name: importlib.import_module(f"blockmonte.{name}")
+                  for name in ("estimators", "mechanics", "geometry", "combinatorics",
+                               "numtheory", "runner", "rng", "stats", "expr", "cli")}
+        owners.update(RngStream=owners["rng"].RngStream,
+                      CircleRaster=owners["geometry"].CircleRaster,
+                      EstimateRecord=estimators.EstimateRecord)
+        named = set(re.findall(rf"`({'|'.join(owners)})\.(\w+)", text))
+        assert {owner for owner, _ in named} >= {"estimators", "RngStream", "CircleRaster",
+                                                 "EstimateRecord"}
+        assert [f"{owner}.{name}" for owner, name in sorted(named)
+                if not hasattr(owners[owner], name)] == []
 
 
 class TestFromCounts:
