@@ -149,9 +149,8 @@ def _print_records(run_id: str, records: list, started: float, where: str = "") 
 
 
 def _cmd_raster(args) -> int:
-    if args.radius > SCATTER_RADIUS_LIMIT:
-        raise ValueError(f"invalid value for 'radius': must be <= {SCATTER_RADIUS_LIMIT}")
-    text = raster_to_text(rasterize_circle(args.radius), outline_only=args.outline)
+    radius = Param("int", minimum=1, maximum=SCATTER_RADIUS_LIMIT).coerce("radius", args.radius)
+    text = raster_to_text(rasterize_circle(radius), outline_only=args.outline)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")

@@ -325,6 +325,7 @@ def _map_blocks(seed: int, jobs: list[tuple[str, int, Callable]], workers: int =
 
 def sample(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Every variant's sampler: the record from the totals of the config's jobs."""
+    workers = COUNT.coerce("workers", workers)
     run = config.model
     return run.record(_map_blocks(config.master_seed, run.jobs, workers), config.master_seed)
 
@@ -485,19 +486,14 @@ def _gcd_table() -> np.ndarray:
 def _coprime_rows(values: np.ndarray, table: np.ndarray) -> int:
     """Number of rows of positive integers whose gcd is 1.
 
-    Rows whose values are all below the side of ``table`` (``_gcd_table()``)
-    chain their gcd through it, one lookup per column; the other rows chain
-    the binary gcd column by column, which is cheaper than
+    A block whose values are all below the side of ``table`` (``_gcd_table()``)
+    chains each row's gcd through it, one lookup per column; any other block
+    chains the binary gcd column by column, which is cheaper than
     ``np.gcd.reduce`` along the short row axis.
     """
     if values.max() < GCD_TABLE_SIDE:
         return _table_coprime(values, table)
-    small = values[:, 0] < GCD_TABLE_SIDE
-    for column in range(1, values.shape[1]):
-        small &= values[:, column] < GCD_TABLE_SIDE
-    if not small.any():
-        return _chained_gcd_coprime(values)
-    return _table_coprime(values[small], table) + _chained_gcd_coprime(values[~small])
+    return _chained_gcd_coprime(values)
 
 
 def _table_coprime(values: np.ndarray, table: np.ndarray) -> int:
@@ -528,29 +524,26 @@ def _build_zeta(params: dict, trials: int) -> Run:
     The uniform sampler's block draws m-tuples on [1, value_bound]; the
     random_tick sampler's mirrors the waiting-time device instead and its
     values follow a geometric (negative binomial) law, not a uniform one,
-    which the record flags in its params.  For even m the record also
-    carries the implied pi^m value, since zeta(2k) is a rational multiple
-    of pi^(2k).  The gcd table is built here, before any worker thread
-    reads it, and only for a block that reads it.
+    which the record flags in its params.  Both count through
+    ``_coprime_rows``, whose gcd table is built here, before any worker
+    thread reads it.  For even m the record also carries the implied pi^m
+    value, since zeta(2k) is a rational multiple of pi^(2k).
     """
-    m = params["m"]
+    m, table = params["m"], _gcd_table()
     if params["sampler_mode"] == "uniform":
         distribution = "uniform"
         bound = params["value_bound"]
-        coprime = (partial(_table_coprime, table=_gcd_table()) if bound < GCD_TABLE_SIDE
-                   else _chained_gcd_coprime)
         # int32 below 2^31, where 1 can be added in place, feeds the int32 gcd as drawn
         dtype = np.int32 if bound < 2 ** 31 else np.int64
 
         def block(stream, count):
             values = stream.int_below_block(bound, (count, m), dtype)
             values += 1
-            return coprime(values)
+            return _coprime_rows(values, table)
     else:
-        # Random ticks draw geometric values, almost all below the table side.
         distribution = "negative_binomial_non_uniform"
         sched = RandomTickScheduler(speed_multiplier=params["speed_multiplier"])
-        growth, table = params["growth_prob"], _gcd_table()
+        growth = params["growth_prob"]
 
         def block(stream, count):
             return _coprime_rows(ticks_until_growth_block(sched, growth, stream, (count, m)), table)
@@ -771,7 +764,7 @@ def _build_sqrt2(params: dict, trials: int) -> Run:
 
 
 _REPLAY_PARAMS = {
-    "counts": Param("pair", minimum=0, item="int"),
+    "counts": Param("pair", minimum=0, maximum=2 ** 53, item="int"),  # exact as doubles
     # default: the variant's own style; past 17 digits a double has no more
     "reported_decimals": Param("int", minimum=0, maximum=17),
 }
@@ -898,6 +891,5 @@ _ESTIMATORS = dict.fromkeys(VARIANTS, sample)
 
 def run_config(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
     """Execute one experiment config (or replay its counts) into a record."""
-    workers = COUNT.coerce("workers", workers)
     run = sample if "counts" in config.params else _ESTIMATORS[config.variant]
     return run(config, workers=workers)

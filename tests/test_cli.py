@@ -305,6 +305,8 @@ class TestCommandLine:
          "function_spec"),
         (["integral", "--param", "function_spec=9**9**9"], "function_spec"),
         (["integral", "--param", "a=-1" + "0" * 400], "a"),
+        (["pi", "--from-counts", "5,1" + "0" * 400], "counts"),
+        (["e", "--from-counts", "1" + "0" * 400 + ",3"], "counts"),
     ])
     def test_bad_param_exits_two_and_names_field(self, capsys, argv, field):
         assert cli.main(["estimate", *argv, "--trials", "100"]) == 2
@@ -535,6 +537,12 @@ class TestCommandLine:
             self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "rasterize_circle", None)  # any raster would fail loudly
         radius = str(runner.SCATTER_RADIUS_LIMIT + 1)
+        assert cli.main(["raster", "circle", "--radius", radius]) == 2
+        assert "'radius'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["0", "-5"])
+    def test_raster_circle_below_one_exits_two_naming_radius(self, capsys, monkeypatch, radius):
+        monkeypatch.setattr(cli, "rasterize_circle", None)  # any raster would fail loudly
         assert cli.main(["raster", "circle", "--radius", radius]) == 2
         assert "'radius'" in capsys.readouterr().err
 

@@ -93,6 +93,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="'workers'"):
             RunManifest(run_id="w", configs=[cfg], output_dir=tmp_path, workers=workers)
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2"])
+    @pytest.mark.parametrize("variant", ["sqrt2", "pi", "e", "zeta", "sec_tan", "integral"])
+    def test_every_estimate_name_checks_workers(self, variant, workers, monkeypatch):
+        monkeypatch.setattr(estimators.os, "cpu_count", lambda: 4)
+        estimate = getattr(estimators, f"estimate_{variant}")
+        with pytest.raises(ValueError, match="'workers'"):
+            estimate(config(variant, trials=100), workers=workers)
+
     def test_numpy_integers_are_taken_for_seed_trials_and_workers(self, tmp_path):
         given = ExperimentConfig("pi", master_seed=np.int64(3), trials=np.int64(100))
         assert given == ExperimentConfig("pi", master_seed=3, trials=100)
@@ -151,6 +159,8 @@ class TestConfigValidation:
         ("pi", {"counts": (700, 619)}, "counts"),
         ("e", {"counts": (5, 10)}, "counts"),
         ("integral", {"a": -10 ** 400}, "a"),
+        ("pi", {"counts": (5, 10 ** 400)}, "counts"),
+        ("e", {"counts": (10 ** 400, 3)}, "counts"),
     ])
     def test_bad_value_names_its_field(self, variant, params, field):
         with pytest.raises(ValueError, match=f"'{field}'"):
@@ -608,6 +618,27 @@ class TestGcdKernels:
         expected = chained_int64_gcd_coprime(values)
         assert estimators._coprime_rows(values, estimators._gcd_table()) == expected
         assert estimators._chained_gcd_coprime(values) == expected
+
+    @pytest.mark.parametrize("params", [
+        {"value_bound": 100},
+        {"value_bound": 1024},
+        {"value_bound": 10 ** 6},
+        {"value_bound": 2 ** 40},
+        {"sampler_mode": "random_tick"},
+    ], ids=["bound_100", "bound_1024", "bound_1e6", "bound_2pow40", "random_tick"])
+    def test_every_zeta_block_counts_through_coprime_rows(self, params, monkeypatch):
+        cfg = config("zeta", trials=2 * estimators.BLOCK_TRIALS + 5, **params)
+        unpatched = run_config(cfg)
+        counted = []
+        coprime_rows = estimators._coprime_rows
+
+        def recorder(values, table):
+            counted.append((len(values), coprime_rows(values, table)))
+            return counted[-1][1]
+        monkeypatch.setattr(estimators, "_coprime_rows", recorder)
+        assert run_config(cfg) == unpatched
+        assert [rows for rows, _ in counted] == [estimators.BLOCK_TRIALS] * 2 + [5]
+        assert sum(coprime for _, coprime in counted) == unpatched.success_count
 
     def test_uniform_points_are_the_two_former_draws(self):
         count, radius = 5000, 12
