@@ -31,7 +31,6 @@ from .estimators import (
 from .geometry import (
     CircleRaster,
     CurveRaster,
-    GridCell,
     TriangleCourse,
     archimedes_bounds,
     cell_in_disc,

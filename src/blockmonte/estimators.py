@@ -380,7 +380,7 @@ def _build_pi(params: dict, trials: int) -> Run:
             raise ValueError(f"invalid value for 'step_cells': {exc}") from None
 
         def cells(stream, count):
-            return tuple(slime_death_cells(arena, stream, count).T)
+            return tuple(slime_death_cells(arena, stream, count))
 
     if uniform and params["raster_mode"] == "exact_disc":
         def block(stream, count):

@@ -13,16 +13,8 @@ from typing import Callable
 import numpy as np
 
 
-@dataclass(frozen=True, order=True)
-class GridCell:
-    """One cell of the block grid (2D plane, x east / z south)."""
-
-    x: int
-    z: int
-
-
 def cell_in_disc(cell, radius: float) -> bool:
-    """True iff the cell's center lies within ``radius`` of the origin
+    """True iff the (x, z) cell's center lies within ``radius`` of the origin
     cell's center (boundary inclusive).
 
     Centers sit at half-integer offsets, so center-to-center distance is
@@ -30,7 +22,7 @@ def cell_in_disc(cell, radius: float) -> bool:
     """
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    x, z = (cell.x, cell.z) if isinstance(cell, GridCell) else map(int, cell)
+    x, z = map(int, cell)
     r = int(radius) if float(radius).is_integer() else radius
     return x * x + z * z <= r * r
 
@@ -69,10 +61,10 @@ class CircleRaster:
         return tuple(math.isqrt(r * r - i * i) for i in range(r + 1)) + (-1,)
 
     @cached_property
-    def inside_cells(self) -> frozenset[GridCell]:
-        """Every cell of the disc as a set: O(r^2), for oracles and tests."""
+    def inside_cells(self) -> frozenset[tuple[int, int]]:
+        """Every (x, z) cell of the disc as a set: O(r^2), for oracles and tests."""
         r, spans = self.radius, self.spans
-        return frozenset(GridCell(x, z) for x in range(-r, r + 1)
+        return frozenset((x, z) for x in range(-r, r + 1)
                          for z in range(-spans[abs(x)], spans[abs(x)] + 1))
 
     def __contains__(self, cell) -> bool:
@@ -90,13 +82,13 @@ class CircleRaster:
         span = self.spans[i]
         return range(min(span, self.spans[i + 1] + 1), span + 1)
 
-    def outline_cells(self) -> frozenset[GridCell]:
-        """Raster cells with at least one 4-neighbour outside (the ring)."""
+    def outline_cells(self) -> frozenset[tuple[int, int]]:
+        """(x, z) raster cells with at least one 4-neighbour outside (the ring)."""
         cells = []
         for x in range(-self.radius, self.radius + 1):
             ring = self._ring(abs(x))
-            cells.extend(GridCell(x, z) for z in ring)
-            cells.extend(GridCell(x, -z) for z in ring if z)
+            cells.extend((x, z) for z in ring)
+            cells.extend((x, -z) for z in ring if z)
         return frozenset(cells)
 
 

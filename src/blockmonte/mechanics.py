@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import Permutation
-from .geometry import GridCell
 from .rng import RngStream, geometric_trials
 
 # Hoppers move 2.5 items per second.
@@ -185,9 +184,9 @@ class SlimeArena:
         return float(-self.half_width), float(self.half_width + 1)
 
 
-def slime_death_cell(arena: SlimeArena, stream: RngStream) -> GridCell:
+def slime_death_cell(arena: SlimeArena, stream: RngStream) -> tuple[int, int]:
     """Walk one slime from a uniform start until it is killed; return the
-    grid cell containing the death position.
+    (x, z) grid cell containing the death position.
 
     Each round: the kill check runs first (kill_probability 1 therefore dies
     on its starting cell), then the heading may be resampled, then the slime
@@ -216,15 +215,15 @@ def slime_death_cell(arena: SlimeArena, stream: RngStream) -> GridCell:
         heading %= math.tau
 
 
-def _position_cell(x: float, z: float, half_width: int) -> GridCell:
+def _position_cell(x: float, z: float, half_width: int) -> tuple[int, int]:
     cx = min(max(math.floor(x), -half_width), half_width)
     cz = min(max(math.floor(z), -half_width), half_width)
-    return GridCell(cx, cz)
+    return cx, cz
 
 
 def slime_death_cells(arena: SlimeArena, stream: RngStream, count: int) -> np.ndarray:
-    """(count, 2) int array of death cells for ``count`` independent walkers,
-    each drawn from the law of ``slime_death_cell``.
+    """(2, count) int64 death cells, x row then z row, of ``count``
+    independent walkers, each drawn from the law of ``slime_death_cell``.
 
     A walk without drift is unfolded (``_unfolded_walk``); a drifting walk
     is stepped with its lifetimes drawn first (``_stepped_walk``).  Results
@@ -235,7 +234,7 @@ def slime_death_cells(arena: SlimeArena, stream: RngStream, count: int) -> np.nd
     walk = _stepped_walk if any(arena.drift_bias) else _unfolded_walk
     cells = np.floor(walk(arena, stream, count)).astype(np.int64)
     r = arena.half_width
-    return np.clip(cells, -r, r, out=cells).T
+    return np.clip(cells, -r, r, out=cells)
 
 
 def _unfolded_walk(arena: SlimeArena, stream: RngStream, count: int) -> np.ndarray:

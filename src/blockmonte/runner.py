@@ -81,9 +81,11 @@ def check_run_id(run_id: str) -> None:
 def load_manifest(path, default_seed: int = 0) -> RunManifest:
     """Parse a flat key=value manifest: one [run] section plus one section
     per experiment, all variant params as strings.  Each config resolves its
-    params as it is built, so every section is checked before any trial."""
+    params as it is built, so every section is checked before any trial.
+    Values are read literally (no % interpolation), and an error in an
+    experiment section names it."""
     path = Path(path)
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -104,10 +106,13 @@ def load_manifest(path, default_seed: int = 0) -> RunManifest:
         if "variant" not in section:
             raise ValueError(f"invalid value for 'variant': section [{name}] has none")
         variant = section.pop("variant")
-        seed = Param("int").coerce("seed", section.pop("seed", default_seed))
-        trials = Param("int").coerce("trials", section.pop("trials", 10_000))
-        configs.append(ExperimentConfig(variant=variant, master_seed=seed,
-                                        trials=trials, variant_params=section))
+        try:
+            seed = Param("int").coerce("seed", section.pop("seed", default_seed))
+            trials = Param("int").coerce("trials", section.pop("trials", 10_000))
+            configs.append(ExperimentConfig(variant=variant, master_seed=seed,
+                                            trials=trials, variant_params=section))
+        except ValueError as exc:
+            raise ValueError(f"[{name}] {exc}") from None
     return RunManifest(run_id=run.get("run_id", path.stem), configs=configs,
                        output_dir=Path(run.get("output_dir", "runs")),
                        formats=parse_formats(run.get("formats", "jsonl")), workers=workers)
@@ -138,8 +143,11 @@ def run_experiment(manifest: RunManifest) -> list[EstimateRecord]:
 
 
 def _failed_record(config: ExperimentConfig, reason: str) -> EstimateRecord:
+    """A failed row reports the trials its jobs drew, as a successful row of
+    the config would; a config with no jobs reports its own trials."""
+    drawn = sum(trials for _, trials, _ in config.model.jobs) or config.trials
     return EstimateRecord(
-        variant=config.variant, estimate=None, trials_used=config.trials,
+        variant=config.variant, estimate=None, trials_used=drawn,
         success_count=None, stderr=None, ci_low=None, ci_high=None, reference=None,
         seed=config.master_seed, params={**config.params, "failed": reason})
 
@@ -254,8 +262,8 @@ def emit_scatter(xs: np.ndarray, zs: np.ndarray, raster: CircleRaster, path) -> 
         f'<rect x="{sx(-r)}" y="{sy(r + 1)}" width="{(2 * r + 1) * scale}" '
         f'height="{(2 * r + 1) * scale}" fill="none" stroke="black" stroke-width="1"/>',
     ]
-    for cell in sorted(raster.outline_cells()):
-        parts.append(f'<rect x="{sx(cell.x)}" y="{sy(cell.z + 1)}" width="{scale}" '
+    for x, z in sorted(raster.outline_cells()):
+        parts.append(f'<rect x="{sx(x)}" y="{sy(z + 1)}" width="{scale}" '
                      f'height="{scale}" fill="#bbbbbb"/>')
     dot_radius = max(1.0, 0.3 * scale)
     dots = [f'<circle cx="{sx(x + 0.5):g}" cy="{sy(z + 0.5):g}" r="{dot_radius:.2f}" '

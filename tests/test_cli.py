@@ -13,7 +13,7 @@ import pytest
 import blockmonte
 from blockmonte import cli, estimators, runner
 from blockmonte.estimators import ExperimentConfig, run_config
-from blockmonte.geometry import GridCell, rasterize_circle
+from blockmonte.geometry import rasterize_circle
 from blockmonte.runner import (
     RunManifest,
     emit_scatter,
@@ -138,6 +138,21 @@ class TestReports:
         assert "failed" in records[0].params
         assert records[1].estimate is not None
 
+    @pytest.mark.parametrize("section, drawn", [
+        ("variant = sqrt2\ntrials = 5000\nleg_blocks = 1\nspeed = 100", 1),
+        ("variant = integral\ntrials = 700\nfunction_spec = 1e307*sin(x)\nb = 100", 700),
+    ], ids=["one-read", "no-jobs"])
+    def test_a_failed_row_reports_the_trials_its_jobs_drew(self, tmp_path, section, drawn):
+        # sqrt2 reads its timer once whatever trials says, as its
+        # successful rows report; a config that runs no job keeps its trials.
+        body = ("[run]\nrun_id = bad\noutput_dir = {out}\nformats = jsonl\n\n"
+                "[only]\n{section}\n").format(out=tmp_path / "out", section=section)
+        [record] = run_experiment(load_manifest(write_manifest(tmp_path / "f.ini", body)))
+        assert record.estimate is None and "failed" in record.params
+        assert record.trials_used == drawn
+        row = json.loads((tmp_path / "out" / "bad.jsonl").read_text())
+        assert row["trials"] == drawn
+
     def test_failed_row_echoes_the_resolved_params(self, tmp_path):
         body = ("[run]\nrun_id = bad\noutput_dir = {out}\nformats = jsonl\n\n"
                 "[e]\nvariant = e\nseed = 1\ntrials = 1\npermutation_size = 2\n").format(
@@ -181,12 +196,12 @@ def dot_by_dot_scatter(outcomes, raster) -> str:
         f'<rect x="{sx(-r)}" y="{sy(r + 1)}" width="{(2 * r + 1) * scale}" '
         f'height="{(2 * r + 1) * scale}" fill="none" stroke="black" stroke-width="1"/>',
     ]
-    for cell in sorted(raster.outline_cells()):
-        lines.append(f'<rect x="{sx(cell.x)}" y="{sy(cell.z + 1)}" width="{scale}" '
+    for x, z in sorted(raster.outline_cells()):
+        lines.append(f'<rect x="{sx(x)}" y="{sy(z + 1)}" width="{scale}" '
                      f'height="{scale}" fill="#bbbbbb"/>')
-    for cell in outcomes:
-        color = "#1f77b4" if cell in raster else "#d62728"
-        lines.append(f'<circle cx="{sx(cell.x + 0.5):g}" cy="{sy(cell.z + 0.5):g}" '
+    for x, z in outcomes:
+        color = "#1f77b4" if (x, z) in raster else "#d62728"
+        lines.append(f'<circle cx="{sx(x + 0.5):g}" cy="{sy(z + 0.5):g}" '
                      f'r="{max(1.0, 0.3 * scale):.2f}" fill="{color}"/>')
     value = f"{4.0 * inside / len(outcomes):.5f}"
     while value.endswith("0") and len(value.split(".")[1]) > 3:
@@ -198,9 +213,8 @@ def dot_by_dot_scatter(outcomes, raster) -> str:
 
 
 def cell_arrays(cells):
-    """The (xs, zs) int64 arrays ``emit_scatter`` takes, from GridCells."""
-    return (np.array([cell.x for cell in cells], dtype=np.int64),
-            np.array([cell.z for cell in cells], dtype=np.int64))
+    """The x and z int64 rows ``emit_scatter`` takes, from (x, z) cells."""
+    return tuple(np.array(cells, dtype=np.int64).reshape(-1, 2).T)
 
 
 class TestScatter:
@@ -209,18 +223,17 @@ class TestScatter:
         # Repeated cells, cells on the square's edges +-r and its corners,
         # and a spread of random cells in and around the disc.
         r = radius
-        edges = [GridCell(r, 0), GridCell(-r, 0), GridCell(0, r), GridCell(0, -r),
-                 GridCell(r, r), GridCell(-r, -r), GridCell(r, -r), GridCell(-r, r)]
+        edges = [(r, 0), (-r, 0), (0, r), (0, -r), (r, r), (-r, -r), (r, -r), (-r, r)]
         rng = np.random.default_rng(radius)
-        spread = [GridCell(int(x), int(z)) for x, z in rng.integers(-r, r + 1, size=(400, 2))]
-        outcomes = edges + spread + edges[::-1] + spread[:50] + [GridCell(0, 0)] * 3
+        spread = [(int(x), int(z)) for x, z in rng.integers(-r, r + 1, size=(400, 2))]
+        outcomes = edges + spread + edges[::-1] + spread[:50] + [(0, 0)] * 3
         path = tmp_path / "dots.svg"
         emit_scatter(*cell_arrays(outcomes), rasterize_circle(r), path)
         assert path.read_bytes() == dot_by_dot_scatter(outcomes, rasterize_circle(r)).encode("utf-8")
 
     def test_single_dot_caption(self, tmp_path):
         path = tmp_path / "one.svg"
-        emit_scatter(*cell_arrays([GridCell(0, 0)]), rasterize_circle(11), path)
+        emit_scatter(*cell_arrays([(0, 0)]), rasterize_circle(11), path)
         svg = path.read_text()
         assert svg.count("<circle") == 1
         assert "4 · 1/1 = 4.000" in svg
@@ -390,6 +403,24 @@ class TestCommandLine:
                               "[exp]\nvariant = pi\ntrials = 0\n")
         assert cli.main(["run", str(path)]) == 2
         assert "trials" in capsys.readouterr().err
+
+    def test_a_percent_in_a_manifest_value_is_read_literally(self, tmp_path, capsys):
+        path = write_manifest(tmp_path / "mod.ini", f"[run]\noutput_dir = {tmp_path / 'o'}\n\n"
+                              "[modulo]\nvariant = integral\nseed = 4\ntrials = 2000\n"
+                              "function_spec = x % 3 + 1\n")
+        assert cli.main(["run", str(path)]) == 0
+        row = json.loads(capsys.readouterr().out)
+        config = ExperimentConfig("integral", master_seed=4, trials=2000,
+                                  variant_params={"function_spec": "x % 3 + 1"})
+        assert row == report_row("mod", run_config(config))
+
+    def test_a_manifest_error_names_its_section(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "run_config", None)  # any trial would fail loudly
+        path = write_manifest(tmp_path / "m.ini", "[first]\nvariant = pi\ntrials = 100\n\n"
+                              "[second]\nvariant = pi\nradius = 0\n")
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "[second]" in err and "'radius'" in err
 
     @pytest.mark.parametrize("last, field", [
         ("variant = pi\nwobble = 1", "wobble"),

@@ -34,7 +34,6 @@ from blockmonte.estimators import (
     parse_function,
     run_config,
 )
-from blockmonte.geometry import GridCell
 from blockmonte.mechanics import Dropper, dropper_rank_block
 from blockmonte.numtheory import coprime_probability_exact
 from blockmonte.rng import StreamId, derive_stream
@@ -497,9 +496,8 @@ class TestPi:
 
     def test_outcome_collection(self):
         xs, zs = collect_pi_outcomes(config("pi", trials=500, radius=11), limit=1000)
-        cells = [GridCell(x, z) for x, z in zip(xs.tolist(), zs.tolist())]
-        assert len(cells) == 500
-        assert all(-11 <= c.x <= 11 and -11 <= c.z <= 11 for c in cells)
+        assert len(xs) == len(zs) == 500
+        assert all(-11 <= x <= 11 and -11 <= z <= 11 for x, z in zip(xs.tolist(), zs.tolist()))
 
 
 class TestE:

@@ -9,7 +9,6 @@ import pytest
 from blockmonte.estimators import parse_function
 from blockmonte.geometry import (
     CircleRaster,
-    GridCell,
     TriangleCourse,
     archimedes_bounds,
     cell_in_disc,
@@ -27,20 +26,20 @@ PI_50_DIGITS = Decimal("3.14159265358979323846264338327950288419716939937511")
 
 class TestCellInDisc:
     def test_center_cell(self):
-        assert cell_in_disc(GridCell(0, 0), 1)
+        assert cell_in_disc((0, 0), 1)
 
     def test_boundary_is_inclusive(self):
-        assert cell_in_disc(GridCell(11, 0), 11)
-        assert not cell_in_disc(GridCell(12, 0), 11)
-        assert not cell_in_disc(GridCell(8, 8), 11)  # distance sqrt(128) > 11
+        assert cell_in_disc((11, 0), 11)
+        assert not cell_in_disc((12, 0), 11)
+        assert not cell_in_disc((8, 8), 11)  # distance sqrt(128) > 11
 
     def test_real_radius(self):
-        assert cell_in_disc(GridCell(1, 1), 1.5)
-        assert not cell_in_disc(GridCell(1, 1), 1.4)
+        assert cell_in_disc((1, 1), 1.5)
+        assert not cell_in_disc((1, 1), 1.4)
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
-            cell_in_disc(GridCell(0, 0), 0)
+            cell_in_disc((0, 0), 0)
 
     def test_disc_count_tracks_area_at_radius_100(self):
         count = sum(1 for x in range(-100, 101) for z in range(-100, 101)
@@ -51,8 +50,7 @@ class TestCellInDisc:
 class TestCircleRaster:
     def test_radius_one_is_center_plus_four_neighbours(self):
         raster = rasterize_circle(1)
-        assert raster.inside_cells == {GridCell(0, 0), GridCell(1, 0), GridCell(-1, 0),
-                                       GridCell(0, 1), GridCell(0, -1)}
+        assert raster.inside_cells == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
 
     def test_radius_eleven_area_sandwich(self):
         raster = rasterize_circle(11)
@@ -66,10 +64,9 @@ class TestCircleRaster:
     @pytest.mark.parametrize("radius", range(1, 65))
     def test_eightfold_symmetry(self, radius):
         cells = rasterize_circle(radius).inside_cells
-        for cell in cells:
-            for x, z in ((cell.x, -cell.z), (-cell.x, cell.z), (-cell.x, -cell.z),
-                         (cell.z, cell.x), (-cell.z, -cell.x)):
-                assert GridCell(x, z) in cells
+        for x, z in cells:
+            for cell in ((x, -z), (-x, z), (-x, -z), (z, x), (-z, -x)):
+                assert cell in cells
 
     def test_membership_matches_cell_in_disc(self):
         raster = rasterize_circle(7)
@@ -107,8 +104,8 @@ class TestCircleRaster:
                 if not {(x + 1, z), (x - 1, z), (x, z + 1), (x, z - 1)} <= inside}
         raster = rasterize_circle(r)
         assert len(raster.inside_cells) == len(inside)
-        assert {(c.x, c.z) for c in raster.inside_cells} == inside
-        assert {(c.x, c.z) for c in raster.outline_cells()} == ring
+        assert raster.inside_cells == inside
+        assert raster.outline_cells() == ring
         xs, zs = (np.array(axis) for axis in zip(*square))
         assert raster.contains_cells(xs, zs).tolist() == [cell in inside for cell in square]
         for text, cells in ((raster_to_text(raster), inside),
@@ -164,8 +161,8 @@ class TestCircleRaster:
         raster = rasterize_circle(11)
         ring = raster.outline_cells()
         assert ring <= raster.inside_cells
-        assert GridCell(11, 0) in ring
-        assert GridCell(0, 0) not in ring
+        assert (11, 0) in ring
+        assert (0, 0) not in ring
 
 
 class TestRounding:

@@ -10,7 +10,7 @@ from scipy.stats import chi2
 from blockmonte import mechanics
 from blockmonte.combinatorics import permutation_rank
 from blockmonte.estimators import VARIANTS
-from blockmonte.geometry import GridCell
+from blockmonte.geometry import cell_in_disc, rasterize_circle
 from blockmonte.mechanics import (
     SLIME_CHUNK_SEGMENTS,
     Dropper,
@@ -210,12 +210,11 @@ def lattice_disc_count(radius: int) -> int:
                if x * x + z * z <= radius * radius)
 
 
-def cell_histogram(cells, radius):
-    """Counts per cell of the (2r+1)^2 square, from an (n, 2) cell array."""
+def cell_histogram(xs, zs, radius):
+    """Counts per cell of the (2r+1)^2 square, from x and z cell rows."""
     side = 2 * radius + 1
-    cells = np.asarray(cells)
-    return np.bincount((cells[:, 0] + radius) * side + cells[:, 1] + radius,
-                       minlength=side * side)
+    xs, zs = np.asarray(xs), np.asarray(zs)
+    return np.bincount((xs + radius) * side + zs + radius, minlength=side * side)
 
 
 def two_sample_chi2(a, b):
@@ -244,7 +243,7 @@ class TestSlimeWalk:
         cells = slime_death_cells(arena, stream(seed=1, label="slime-start"), 60500)
         side = 11
         counts = np.zeros((side, side))
-        for x, z in cells:
+        for x, z in cells.T:
             counts[x + 5, z + 5] += 1
         expected = 60500 / side ** 2
         statistic = ((counts - expected) ** 2 / expected).sum()
@@ -254,9 +253,21 @@ class TestSlimeWalk:
         arena = SlimeArena(half_width=4, kill_probability=0.2)
         s = stream(seed=2, label="slime-scalar")
         for _ in range(500):
-            cell = slime_death_cell(arena, s)
-            assert isinstance(cell, GridCell)
-            assert -4 <= cell.x <= 4 and -4 <= cell.z <= 4
+            x, z = slime_death_cell(arena, s)
+            assert type(x) is int and type(z) is int
+            assert -4 <= x <= 4 and -4 <= z <= 4
+
+    def test_one_cell_is_an_int_pair_and_many_are_two_rows(self):
+        arena = SlimeArena(half_width=6, kill_probability=0.3)
+        cell = slime_death_cell(arena, stream(seed=8, label="slime-cell"))
+        assert [type(v) for v in cell] == [int, int]
+        cells = slime_death_cells(arena, stream(seed=8, label="slime-cells"), 40)
+        assert cells.shape == (2, 40) and cells.dtype == np.int64
+        raster = rasterize_circle(6)
+        for cell_set in (raster.inside_cells, raster.outline_cells()):
+            assert {tuple(map(type, c)) for c in cell_set} == {(int, int)}
+        for x, z in [*cells.T.tolist(), cell, (6, 0), (5, 5)]:
+            assert cell_in_disc((x, z), 6) == ((x, z) in raster)
 
     def test_batch_walk_stays_in_square(self):
         arena = SlimeArena(half_width=20)
@@ -271,7 +282,7 @@ class TestSlimeWalk:
         n = 200_000
         arena = SlimeArena(half_width=r)
         cells = slime_death_cells(arena, stream(seed=4, label="slime-disc"), n)
-        inside = ((cells[:, 0] ** 2 + cells[:, 1] ** 2) <= r * r).mean()
+        inside = ((cells[0] ** 2 + cells[1] ** 2) <= r * r).mean()
         p = lattice_disc_count(r) / (2 * r + 1) ** 2
         assert abs(inside - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
@@ -279,7 +290,7 @@ class TestSlimeWalk:
         r = 20
         cells = slime_death_cells(SlimeArena(half_width=r),
                                   stream(seed=5, label="slime-quad"), 200_000)
-        x, z = cells[:, 0], cells[:, 1]
+        x, z = cells
         quadrants = [int(((x > 0) & (z > 0)).sum()), int(((x < 0) & (z > 0)).sum()),
                      int(((x > 0) & (z < 0)).sum()), int(((x < 0) & (z < 0)).sum())]
         for i in range(4):
@@ -295,8 +306,8 @@ class TestSlimeWalk:
                                     stream(seed=6, label="slime-drift"), n)
         # south-east means +x and -z here; compare mean displacement along
         # (1, -1) against the combined standard error of the two runs.
-        plain_proj = plain[:, 0] - plain[:, 1]
-        drift_proj = drifted[:, 0] - drifted[:, 1]
+        plain_proj = plain[0] - plain[1]
+        drift_proj = drifted[0] - drifted[1]
         combined_se = math.sqrt(plain_proj.var() / n + drift_proj.var() / n)
         assert drift_proj.mean() - plain_proj.mean() > 3 * combined_se
 
@@ -320,8 +331,8 @@ class TestSlimeWalk:
         s = stream(seed=23, label="slime-law-scalar")
         scalar = [slime_death_cell(arena, s) for _ in range(6000)]
         block = slime_death_cells(arena, stream(seed=23, label="slime-law-block"), 6000)
-        statistic, df = two_sample_chi2(cell_histogram([(c.x, c.z) for c in scalar], 3),
-                                        cell_histogram(block, 3))
+        statistic, df = two_sample_chi2(cell_histogram(*zip(*scalar), 3),
+                                        cell_histogram(*block, 3))
         assert statistic < chi2.ppf(0.999, df=df)
 
     @pytest.mark.parametrize("chunk", [SLIME_CHUNK_SEGMENTS, 3])
@@ -357,7 +368,7 @@ class TestSlimeWalk:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cells.shape == (16_384, 2) and np.abs(cells).max() <= 20
+        assert cells.shape == (2, 16_384) and np.abs(cells).max() <= 20
         assert peak < 32 * 2 ** 20
 
     def test_long_walks_are_drawn_in_chunks(self):
