@@ -19,13 +19,6 @@ from .errors import (
 from .estimators import (
     EstimateRecord,
     ExperimentConfig,
-    estimate_e,
-    estimate_from_counts,
-    estimate_integral,
-    estimate_pi,
-    estimate_sec_tan,
-    estimate_sqrt2,
-    estimate_zeta,
     run_config,
 )
 from .geometry import (

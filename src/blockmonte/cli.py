@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .combinatorics import derangement_count, zigzag_count
 from .errors import DegenerateResultError
-from .estimators import VARIANTS, ExperimentConfig, Param, run_config
+from .estimators import SEED, VARIANTS, ExperimentConfig, Param, run_config
 from .geometry import archimedes_bounds, raster_to_text, rasterize_circle
 from .numtheory import coprime_probability_exact, euler_product_partial, zeta_partial
 from .runner import (SCATTER_RADIUS_LIMIT, RunManifest, check_run_id, load_manifest,
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
 
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
-    return 0 if raw is None else Param("int").coerce(SEED_ENV_VAR, raw)
+    return 0 if raw is None else dataclasses.replace(SEED, text=True).coerce(SEED_ENV_VAR, raw)
 
 
 def _parse_params(pairs: list[str]) -> dict:

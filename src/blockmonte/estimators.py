@@ -102,8 +102,9 @@ class EstimateRecord:
     ci_low: float | None
     ci_high: float | None
     reference: float | None
-    seed: int | None
     params: dict
+    # the config's master seed, set by the sampler; None for a counts replay
+    seed: int | None = None
 
     @property
     def relative_error_percent(self) -> float | None:
@@ -119,7 +120,7 @@ class EstimateRecord:
 # sampling estimators and the count replay; each checks its counts
 
 
-def _pi_record(inside: int, total: int, seed: int | None, params: dict) -> EstimateRecord:
+def _pi_record(inside: int, total: int, params: dict) -> EstimateRecord:
     """4 * inside / total, its binomial stderr and the Wilson interval times 4."""
     if total == 0:
         raise DegenerateSampleError("total count is zero")
@@ -129,11 +130,11 @@ def _pi_record(inside: int, total: int, seed: int | None, params: dict) -> Estim
     low, high = wilson_ci(inside, total, Z_95)
     return EstimateRecord("pi", 4.0 * inside / total, total, inside,
                           4.0 * math.sqrt(p_hat * (1.0 - p_hat) / total), 4.0 * low, 4.0 * high,
-                          CONSTANTS.pi, seed, params)
+                          CONSTANTS.pi, params)
 
 
 def _ratio_record(variant: str, trials: int, successes: int, reference: float,
-                  seed: int | None, params: dict) -> EstimateRecord:
+                  params: dict) -> EstimateRecord:
     """trials / successes, its delta-method stderr and the Wilson interval
     of the proportion, inverted.  The caller rejects zero successes."""
     if successes > trials:
@@ -141,30 +142,29 @@ def _ratio_record(variant: str, trials: int, successes: int, reference: float,
     low, high = wilson_ci(successes, trials, Z_95)
     return EstimateRecord(variant, trials / successes, trials, successes,
                           ratio_stderr(successes, trials), 1.0 / high, 1.0 / low,
-                          reference, seed, params)
+                          reference, params)
 
 
-def _e_record(trials: int, derangements: int, seed: int | None, params: dict) -> EstimateRecord:
+def _e_record(trials: int, derangements: int, params: dict) -> EstimateRecord:
     if derangements == 0:
         raise DegenerateSampleError("no derangements observed; cannot form trials/derangements")
-    return _ratio_record("e", trials, derangements, CONSTANTS.e, seed, params)
+    return _ratio_record("e", trials, derangements, CONSTANTS.e, params)
 
 
-def _zeta_record(trials: int, coprime: int, seed: int | None, params: dict) -> EstimateRecord:
+def _zeta_record(trials: int, coprime: int, params: dict) -> EstimateRecord:
     if coprime == 0:
         raise DegenerateSampleError("no coprime tuples observed; cannot form trials/coprime")
-    return _ratio_record("zeta", trials, coprime, reference_zeta(params["m"]), seed, params)
+    return _ratio_record("zeta", trials, coprime, reference_zeta(params["m"]), params)
 
 
-def _quotient_record(hyp_items: int, leg_items: int, seed: int | None,
-                     params: dict) -> EstimateRecord:
+def _quotient_record(hyp_items: int, leg_items: int, params: dict) -> EstimateRecord:
     """sqrt2's hyp_items / leg_items: one deterministic count ratio, no
     sampling model, so no stderr or interval."""
     if leg_items == 0:
         raise DegenerateCourseError(
             "leg traversal finished before the timer released a single item")
     return EstimateRecord("sqrt2", hyp_items / leg_items, 1, None, None, None, None,
-                          CONSTANTS.sqrt2, seed, params)
+                          CONSTANTS.sqrt2, params)
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +250,11 @@ COUNT = Param("int", minimum=1, text=False)
 class Run(NamedTuple):
     """What a build picked for its config's run, once: ``jobs``, the
     (label, trials, block function) tuples ``_map_blocks`` runs;
-    ``record(totals, seed)``, the record from their totals, one per job;
+    ``record(totals)``, the record from their totals, one per job;
     ``cells``, pi's scatter cells (``collect_pi_outcomes``), else None."""
 
     jobs: list[tuple[str, int, Callable]]
-    record: Callable[[list, int | None], EstimateRecord]
+    record: Callable[[list], EstimateRecord]
     cells: Callable | None = None
 
 
@@ -323,15 +323,13 @@ def _map_blocks(seed: int, jobs: list[tuple[str, int, Callable]], workers: int =
     return totals
 
 
-def sample(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
-    """Every variant's sampler: the record from the totals of the config's jobs."""
-    workers = COUNT.coerce("workers", workers)
+def _sample(config: ExperimentConfig, workers: int) -> EstimateRecord:
+    """Every variant's sampler: the record from the totals of the config's
+    jobs, carrying the seed they were drawn with."""
     run = config.model
-    return run.record(_map_blocks(config.master_seed, run.jobs, workers), config.master_seed)
-
-
-estimate_sqrt2 = estimate_pi = estimate_e = sample
-estimate_zeta = estimate_sec_tan = estimate_integral = sample
+    record = run.record(_map_blocks(config.master_seed, run.jobs, workers))
+    record.seed = config.master_seed
+    return record
 
 
 def _flagged_orders(dropper: Dropper, flags: np.ndarray) -> Callable:
@@ -390,9 +388,9 @@ def _build_pi(params: dict, trials: int) -> Run:
             # a raster cell, or a death cell in the exact disc, is inside iff its center is
             return int(np.count_nonzero(cells_in_disc(*cells(stream, count), radius)))
 
-    def record(totals, seed):
+    def record(totals):
         [inside] = totals
-        return _pi_record(inside, trials, seed, dict(params))
+        return _pi_record(inside, trials, dict(params))
     return Run([("pi", trials, block)], record, cells)
 
 
@@ -453,9 +451,9 @@ def _build_e(params: dict, trials: int) -> Run:
     size = params["permutation_size"]
     block = _flagged_orders(Dropper(slot_count=size), derangement_flags(size))
 
-    def record(totals, seed):
+    def record(totals):
         [derangements] = totals
-        return _e_record(trials, derangements, seed, dict(params))
+        return _e_record(trials, derangements, dict(params))
     return Run([("e", trials, block)], record)
 
 
@@ -548,10 +546,10 @@ def _build_zeta(params: dict, trials: int) -> Run:
         def block(stream, count):
             return _coprime_rows(ticks_until_growth_block(sched, growth, stream, (count, m)), table)
 
-    def record(totals, seed):
+    def record(totals):
         [coprime] = totals
         echo = dict(params, value_distribution=distribution)
-        result = _zeta_record(trials, coprime, seed, echo)
+        result = _zeta_record(trials, coprime, echo)
         if m in ZETA_EVEN_PI_COEFFICIENT:
             scale = 1.0 / float(ZETA_EVEN_PI_COEFFICIENT[m])
             echo["pi_power"] = m
@@ -576,7 +574,7 @@ def _build_sec_tan(params: dict, trials: int) -> Run:
     """
     sizes = range(2, params["max_size"] + 1)
 
-    def record(totals, seed):
+    def record(totals):
         estimate = float(min(params["max_size"] + 1, 2))
         variance = 0.0
         for hits in totals:
@@ -588,7 +586,7 @@ def _build_sec_tan(params: dict, trials: int) -> Run:
                     alternating_counts=[[size, hits] for size, hits in zip(sizes, totals)])
         return EstimateRecord("sec_tan", estimate, trials * len(totals), None, stderr,
                               estimate - Z_95 * stderr, estimate + Z_95 * stderr,
-                              CONSTANTS.sec1_plus_tan1, seed, echo)
+                              CONSTANTS.sec1_plus_tan1, echo)
     return Run([(f"sec_tan/size{size}", trials,
                  _flagged_orders(Dropper(slot_count=size), alternating_flags(size)))
                 for size in sizes], record)
@@ -651,12 +649,12 @@ def _build_integral(params: dict, trials: int) -> Run:
         hits = partial(_banded_hits, f, _bin_bounds(f, a, b), a, b)
     box_area = (b - a) * (y_high - y_low)
     if y_high == y_low or hits is None:  # f is 0 on the grid, or every column is
-        def record(totals, seed):  # nothing can land off the axis: the net estimate is exactly 0
-            return EstimateRecord("integral", 0.0, trials, 0, 0.0, 0.0, 0.0, reference, seed,
+        def record(totals):  # nothing can land off the axis: the net estimate is exactly 0
+            return EstimateRecord("integral", 0.0, trials, 0, 0.0, 0.0, 0.0, reference,
                                   dict(echo, note="flat zero curve; estimate exact"))
         return Run([], record)
     if not math.isfinite(box_area):
-        def record(totals, seed):
+        def record(totals):
             raise DegenerateRegionError("sampling box area is not finite")
         return Run([], record)
 
@@ -667,7 +665,7 @@ def _build_integral(params: dict, trials: int) -> Run:
         ys += y_low
         return hits(u, ys)
 
-    def record(totals, seed):
+    def record(totals):
         [hits_total] = totals
         above, below = (int(h) for h in hits_total)
         if above + below == 0:  # zero hits would read as a certain zero, stderr 0
@@ -680,8 +678,7 @@ def _build_integral(params: dict, trials: int) -> Run:
         if not (math.isfinite(ci_low) and math.isfinite(ci_high)):
             raise DegenerateRegionError("interval on the sampling box is not finite")
         return EstimateRecord("integral", estimate, trials, above + below, stderr, ci_low,
-                              ci_high, reference, seed,
-                              dict(echo, hits_above=above, hits_below=below))
+                              ci_high, reference, dict(echo, hits_above=above, hits_below=below))
     return Run([("integral", trials, block)], record)
 
 
@@ -752,9 +749,9 @@ def _build_sqrt2(params: dict, trials: int) -> Run:
         return [hopper_items_in_window(timer, window, phase)
                 for window, phase in zip(windows, phases)]
 
-    def record(totals, seed):
+    def record(totals):
         [(leg_items, hyp_items)] = totals
-        return _quotient_record(hyp_items, leg_items, seed,
+        return _quotient_record(hyp_items, leg_items,
                                 dict(params, leg_items=leg_items, hyp_items=hyp_items))
     return Run([("sqrt2", 1, block)], record)
 
@@ -770,39 +767,20 @@ _REPLAY_PARAMS = {
 }
 
 
-def estimate_from_counts(variant: str, counts: tuple[int, int], *, m: int = 3,
-                         reported_decimals: int | None = None) -> EstimateRecord:
-    """Pure arithmetic replay of a recorded (numerator, denominator) tally.
-
-    Count order per variant: sqrt2 (hyp_items, leg_items); pi (inside,
-    total); e (permutations, derangements); zeta (tuples, coprime).  ``m``
-    is zeta's; the other variants ignore it.  The record's estimate and
-    relative_error_percent are full precision; the params carry
-    ``reported_estimate``/``reported_error_pct`` strings rendered with each
-    experiment's original display convention.
-    """
-    raw = {"counts": counts}
-    if variant == "zeta":
-        raw["m"] = m
-    if reported_decimals is not None:
-        raw["reported_decimals"] = reported_decimals
-    return run_config(ExperimentConfig(variant, variant_params=raw))
-
-
 def _replay(decimals: int, from_reported: bool, builder: Callable, echo: tuple[str, ...],
             params: dict, trials: int) -> Run:
     """A count-only replay's build: a Run with no jobs whose record replays
     the two counts in ``params`` through the variant's record builder, called
-    as ``builder(first, second, None, params)``.  ``decimals`` is the display
+    as ``builder(first, second, params)``.  ``decimals`` is the display
     precision the counts were first reported with; ``from_reported`` says
     whether that report quoted its error from the already-rounded estimate
     (sqrt2 and e did; pi and zeta quoted the error of the full ratio);
     ``echo`` names the params keys, if any, that repeat the two counts."""
-    def replay(totals, seed):
+    def replay(totals):
         echoed = dict(params)
         shown = echoed.pop("reported_decimals")
         echoed.update(zip(echo, echoed["counts"]))
-        record = builder(*echoed["counts"], None, echoed)
+        record = builder(*echoed["counts"], echoed)
         reported_estimate = f"{record.estimate:.{decimals if shown is None else shown}f}"
         basis = float(reported_estimate) if from_reported else record.estimate
         record.params["reported_estimate"] = reported_estimate
@@ -886,10 +864,13 @@ VARIANTS: dict[str, Variant] = {
 
 # run_config dispatches through this dict at call time, so a wrapper put
 # in it (a tracer, a test double) sees every sampled run and no replay.
-_ESTIMATORS = dict.fromkeys(VARIANTS, sample)
+_ESTIMATORS = dict.fromkeys(VARIANTS, _sample)
 
 
 def run_config(config: ExperimentConfig, workers: int = 1) -> EstimateRecord:
-    """Execute one experiment config (or replay its counts) into a record."""
-    run = sample if "counts" in config.params else _ESTIMATORS[config.variant]
-    return run(config, workers=workers)
+    """Execute one experiment config into a record; a counts config replays
+    its counts and runs no block."""
+    workers = COUNT.coerce("workers", workers)
+    if "counts" in config.params:
+        return config.model.record([])
+    return _ESTIMATORS[config.variant](config, workers=workers)

@@ -45,6 +45,10 @@ SCATTER_DOT_LIMIT = 10_000
 # `raster circle` takes the same bound: its text is (2r + 1)^2 = 67M bytes at it.
 SCATTER_RADIUS_LIMIT = 4096
 
+# A run id names `<run_id>.jsonl` and `<run_id>_NN_pi.svg`, so this many
+# bytes keeps every report name under the usual 255-byte file-name limit.
+RUN_ID_MAX_BYTES = 240
+
 
 @dataclass
 class RunManifest:
@@ -76,21 +80,29 @@ def check_run_id(run_id: str) -> None:
     """A run id names its report files, so it must be a plain file name."""
     if run_id in ("", ".", "..") or "/" in run_id or "\0" in run_id:
         raise ValueError(f"invalid value for 'run_id': {run_id!r} is not a file name")
+    # surrogatepass measures, rather than refuses, an id from undecodable argv bytes
+    if len(run_id.encode("utf-8", "surrogatepass")) > RUN_ID_MAX_BYTES:
+        raise ValueError(f"invalid value for 'run_id': longer than {RUN_ID_MAX_BYTES} bytes")
 
 
 def load_manifest(path, default_seed: int = 0) -> RunManifest:
     """Parse a flat key=value manifest: one [run] section plus one section
     per experiment, all variant params as strings.  Each config resolves its
     params as it is built, so every section is checked before any trial.
-    Values are read literally (no % interpolation), and an error in an
-    experiment section names it."""
+    Values are read literally (no % interpolation), an error in an
+    experiment section names it, and a [DEFAULT] section is refused."""
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None)
+    # No section is the parser's default one (a header cannot name ""), so
+    # [DEFAULT] stays a section of its own rather than entering every other.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
     except configparser.Error as exc:
         raise ValueError(f"invalid manifest {path}: {exc}") from None
+    if parser.has_section("DEFAULT"):
+        raise ValueError(f"invalid manifest {path}: a [DEFAULT] section is not supported; "
+                         "give each key in the section it applies to")
 
     run = dict(parser["run"]) if parser.has_section("run") else {}
     for key in run:
@@ -143,13 +155,15 @@ def run_experiment(manifest: RunManifest) -> list[EstimateRecord]:
 
 
 def _failed_record(config: ExperimentConfig, reason: str) -> EstimateRecord:
-    """A failed row reports the trials its jobs drew, as a successful row of
-    the config would; a config with no jobs reports its own trials."""
+    """A failed row reports the trials its jobs drew and the seed they were
+    drawn with, as a successful row of the config would; a config with no
+    jobs reports its own trials, and a counts replay no seed."""
     drawn = sum(trials for _, trials, _ in config.model.jobs) or config.trials
     return EstimateRecord(
         variant=config.variant, estimate=None, trials_used=drawn,
         success_count=None, stderr=None, ci_low=None, ci_high=None, reference=None,
-        seed=config.master_seed, params={**config.params, "failed": reason})
+        params={**config.params, "failed": reason},
+        seed=None if "counts" in config.params else config.master_seed)
 
 
 def report_row(run_id: str, record: EstimateRecord) -> dict:

@@ -18,15 +18,7 @@ from blockmonte.combinatorics import (
     is_derangement,
     zigzag_count,
 )
-from blockmonte.estimators import (
-    ExperimentConfig,
-    estimate_e,
-    estimate_from_counts,
-    estimate_integral,
-    estimate_pi,
-    estimate_sec_tan,
-    estimate_zeta,
-)
+from blockmonte.estimators import ExperimentConfig, run_config
 from blockmonte.geometry import archimedes_bounds
 from blockmonte.numtheory import coprime_probability_exact
 from blockmonte.runner import RunManifest, run_experiment
@@ -52,25 +44,26 @@ def test_criterion_01_count_arithmetic():
     started = time.perf_counter()
     checks = []
 
-    record = estimate_from_counts("sqrt2", (57, 41))
+    record = run_config(ExperimentConfig("sqrt2", variant_params={"counts": (57, 41)}))
     checks.append(record.params["reported_estimate"] == "1.3902")
     checks.append(record.params["reported_error_pct"] == "1.70")
     checks.append(round(record.estimate, 4) == 1.3902)
 
-    record = estimate_from_counts("pi", (508, 619))
+    record = run_config(ExperimentConfig("pi", variant_params={"counts": (508, 619)}))
     checks.append(record.params["reported_estimate"] == "3.283")
     checks.append(record.params["reported_error_pct"] == "4.49")
 
-    record = estimate_from_counts("e", (647, 238))
+    record = run_config(ExperimentConfig("e", variant_params={"counts": (647, 238)}))
     checks.append(record.params["reported_estimate"] == "2.71849")
     checks.append(record.params["reported_error_pct"] == "0.00766")
     checks.append(round(float(record.params["reported_error_pct"]), 4) == 0.0077)
 
-    record = estimate_from_counts("zeta", (70, 58))
+    record = run_config(ExperimentConfig("zeta", variant_params={"counts": (70, 58)}))
     checks.append(record.params["reported_estimate"] == "1.2069")
     checks.append(round(record.relative_error_percent, 1) == 0.4)
 
-    record = estimate_from_counts("pi", (33943, 43270), reported_decimals=5)
+    record = run_config(ExperimentConfig("pi", variant_params={"counts": (33943, 43270),
+                                                              "reported_decimals": 5}))
     checks.append(record.params["reported_estimate"] == "3.13779")
 
     elapsed = time.perf_counter() - started
@@ -119,7 +112,7 @@ def test_criterion_04_archimedes_bounds():
 
 def test_criterion_05_pi_estimator():
     started = time.perf_counter()
-    records = [estimate_pi(config("pi", seed=seed, trials=1_000_000)) for seed in range(20)]
+    records = [run_config(config("pi", seed=seed, trials=1_000_000)) for seed in range(20)]
     within = all(abs(r.estimate - CONSTANTS.pi) < 4 * r.stderr for r in records)
     mae = sum(abs(r.estimate - CONSTANTS.pi) for r in records) / 20
     covered = sum(r.ci_low <= CONSTANTS.pi <= r.ci_high for r in records)
@@ -132,7 +125,7 @@ def test_criterion_05_pi_estimator():
 def test_criterion_06_e_estimator():
     started = time.perf_counter()
     target = math.factorial(9) / derangement_count(9)
-    records = [estimate_e(config("e", seed=seed, trials=1_000_000)) for seed in range(20)]
+    records = [run_config(config("e", seed=seed, trials=1_000_000)) for seed in range(20)]
     within = all(abs(r.estimate - target) < 4 * r.stderr for r in records)
     # The quoted 1e-6 closeness of 9!/D(9) to e holds as a relative error:
     # the absolute gap is e^2 * tail = 1.87e-6, the relative gap 6.9e-7.
@@ -145,9 +138,9 @@ def test_criterion_06_e_estimator():
 
 def test_criterion_07_zeta_estimators():
     started = time.perf_counter()
-    apery = estimate_zeta(config("zeta", seed=1, trials=1_000_000))
+    apery = run_config(config("zeta", seed=1, trials=1_000_000))
     ok = abs(apery.estimate - CONSTANTS.zeta3) < 4 * apery.stderr
-    basel = estimate_zeta(config("zeta", seed=2, trials=1_000_000, m=2))
+    basel = run_config(config("zeta", seed=2, trials=1_000_000, m=2))
     derived = basel.params["pi_power_estimate"]
     ok &= abs(derived - CONSTANTS.pi ** 2) < 4 * basel.params["pi_power_stderr"]
     elapsed = time.perf_counter() - started
@@ -174,7 +167,7 @@ def test_criterion_08a_partial_sum_against_reference():
 def test_criterion_08b_monte_carlo_against_oracle_sum():
     started = time.perf_counter()
     oracle = float(sum(Fraction(zigzag_count(n), math.factorial(n)) for n in range(10)))
-    record = estimate_sec_tan(config("sec_tan", seed=3, trials=100_000))
+    record = run_config(config("sec_tan", seed=3, trials=100_000))
     gap = abs(record.estimate - oracle)
     elapsed = time.perf_counter() - started
     ok = gap < 3 * record.stderr and elapsed < 60.0
@@ -185,11 +178,11 @@ def test_criterion_08b_monte_carlo_against_oracle_sum():
 def test_criterion_09_integral_estimator():
     started = time.perf_counter()
     analytic = -62 * math.cos(8) + 16 * math.sin(8) + 10
-    continuous = estimate_integral(config("integral", seed=4, trials=1_000_000))
+    continuous = run_config(config("integral", seed=4, trials=1_000_000))
     ok = abs(continuous.reference - analytic) < 1e-9
     ok &= abs(continuous.estimate - analytic) < 4 * continuous.stderr
-    rasterized = estimate_integral(config("integral", seed=5, trials=1_000_000,
-                                          raster_mode="rasterized"))
+    rasterized = run_config(config("integral", seed=5, trials=1_000_000,
+                                   raster_mode="rasterized"))
     ok &= abs(rasterized.estimate - rasterized.reference) < 4 * rasterized.stderr
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 60.0
@@ -200,10 +193,10 @@ def test_criterion_09_integral_estimator():
 
 def test_criterion_10_bias_demonstrations():
     started = time.perf_counter()
-    uniform_runs = [estimate_pi(config("pi", seed=seed, trials=20_000)).estimate
+    uniform_runs = [run_config(config("pi", seed=seed, trials=20_000)).estimate
                     for seed in range(20)]
-    drift_runs = [estimate_pi(config("pi", seed=seed, trials=20_000, radius=20,
-                                     sampler_mode="slime_walk_drift")).estimate
+    drift_runs = [run_config(config("pi", seed=seed, trials=20_000, radius=20,
+                                    sampler_mode="slime_walk_drift")).estimate
                   for seed in range(20)]
 
     def mean_and_se(values):
@@ -217,7 +210,7 @@ def test_criterion_10_bias_demonstrations():
     ok = separation > 3
 
     finite_target = 1 / float(coprime_probability_exact(3, 10))
-    capped = estimate_zeta(config("zeta", seed=6, trials=1_000_000, value_bound=10))
+    capped = run_config(config("zeta", seed=6, trials=1_000_000, value_bound=10))
     ok &= abs(capped.estimate - finite_target) < 4 * capped.stderr
     ok &= abs(finite_target - CONSTANTS.zeta3) > 10 * capped.stderr
     elapsed = time.perf_counter() - started

@@ -46,6 +46,10 @@ seed = 3
 """
 
 
+# 121 characters, 241 bytes in UTF-8: one byte past the run id limit
+LONG_RUN_ID = "é" * 120 + "a"
+
+
 def no_trial(*args, **kwargs):
     raise AssertionError("a trial ran")
 
@@ -152,6 +156,15 @@ class TestReports:
         assert record.trials_used == drawn
         row = json.loads((tmp_path / "out" / "bad.jsonl").read_text())
         assert row["trials"] == drawn
+
+    def test_a_failed_replay_row_reports_no_seed(self, tmp_path, capsys):
+        # A replay draws nothing, so like a successful replay row it has no seed.
+        out = tmp_path / "out"
+        assert cli.main(["estimate", "pi", "--from-counts", "0,0", "--seed", "9",
+                         "--out", str(out)]) == 1
+        row = json.loads((out / "pi.jsonl").read_text())
+        assert row["estimate"] is None and "failed" in row["params"]
+        assert row["seed"] is None and row["trials"] == 10_000
 
     def test_failed_row_echoes_the_resolved_params(self, tmp_path):
         body = ("[run]\nrun_id = bad\noutput_dir = {out}\nformats = jsonl\n\n"
@@ -392,6 +405,13 @@ class TestCommandLine:
         monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-number")
         assert cli.main(["estimate", "pi", "--trials", "100"]) == 2
 
+    @pytest.mark.parametrize("raw", ["-1", str(1 << 64)])
+    def test_an_out_of_range_env_seed_names_the_variable(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, raw)
+        monkeypatch.setattr(cli, "run_config", no_trial)
+        assert cli.main(["estimate", "pi", "--trials", "100"]) == 2
+        assert "'BLOCKMONTE_SEED'" in capsys.readouterr().err
+
     def test_run_command(self, tmp_path, capsys):
         path = write_manifest(tmp_path / "m.ini", BASIC_MANIFEST.format(out=tmp_path / "o"))
         assert cli.main(["run", str(path)]) == 0
@@ -496,6 +516,19 @@ class TestCommandLine:
         assert all(key in err for key in runner.RUN_KEYS)
         assert not out.exists()
 
+    @pytest.mark.parametrize("run_section", ["[run]\nrun_id = d\n\n", ""],
+                             ids=["with-run", "without-run"])
+    def test_a_default_section_exits_two_before_the_first_trial(
+            self, tmp_path, capsys, monkeypatch, run_section):
+        # configparser would merge [DEFAULT] keys into every section, [run] too.
+        monkeypatch.setattr(runner, "run_config", no_trial)
+        monkeypatch.chdir(tmp_path)
+        path = write_manifest(tmp_path / "m.ini", f"[DEFAULT]\ntrials = 500\n\n{run_section}"
+                              "[pi]\nvariant = pi\n")
+        assert cli.main(["run", str(path)]) == 2
+        assert "[DEFAULT]" in capsys.readouterr().err
+        assert [child.name for child in tmp_path.iterdir()] == ["m.ini"]
+
     def test_report_files_keep_every_dot_of_the_run_id(self, tmp_path, capsys):
         code = cli.main(["estimate", "pi", "--trials", "2000", "--run-id", "v1.2",
                          "--out", str(tmp_path), "--format", "jsonl,csv,svg,txt"])
@@ -512,7 +545,8 @@ class TestCommandLine:
         row = json.loads((out / "runs.v2.jsonl").read_text(encoding="utf-8"))
         assert row["run_id"] == "runs.v2"
 
-    @pytest.mark.parametrize("run_id", ["a/b", ".", "..", ""])
+    @pytest.mark.parametrize("run_id", ["a/b", ".", "..", "",
+                                        pytest.param(LONG_RUN_ID, id="241-bytes")])
     def test_a_run_id_that_is_not_a_file_name_exits_two_before_the_first_trial(
             self, tmp_path, capsys, monkeypatch, run_id):
         monkeypatch.setattr(runner, "run_config", no_trial)
@@ -527,7 +561,8 @@ class TestCommandLine:
         assert "'run_id'" in capsys.readouterr().err
         assert [child.name for child in tmp_path.iterdir()] == ["m.ini"]
 
-    @pytest.mark.parametrize("run_id", ["", ".", "..", "a/b", "a\0b"])
+    @pytest.mark.parametrize("run_id", ["", ".", "..", "a/b", "a\0b",
+                                        pytest.param(LONG_RUN_ID, id="241-bytes")])
     def test_a_run_id_that_is_not_a_file_name_exits_two_without_out(
             self, capsys, monkeypatch, run_id):
         monkeypatch.setattr(runner, "run_config", no_trial)
@@ -536,6 +571,13 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert "'run_id'" in captured.err
         assert captured.out == ""
+
+    def test_a_run_id_of_240_bytes_names_every_report(self, tmp_path, capsys):
+        run_id = LONG_RUN_ID[:-1]
+        assert cli.main(["estimate", "pi", "--trials", "2000", "--run-id", run_id,
+                         "--out", str(tmp_path), "--format", "jsonl,svg"]) == 0
+        assert sorted(child.name for child in tmp_path.iterdir()) == [
+            f"{run_id}.jsonl", f"{run_id}_00_pi.svg"]
 
     def test_a_workers_override_is_checked_before_the_output_dir_is_made(
             self, tmp_path, capsys, monkeypatch):

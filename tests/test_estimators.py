@@ -24,13 +24,6 @@ from blockmonte.errors import (
 from blockmonte.estimators import (
     ExperimentConfig,
     collect_pi_outcomes,
-    estimate_e,
-    estimate_from_counts,
-    estimate_integral,
-    estimate_pi,
-    estimate_sec_tan,
-    estimate_sqrt2,
-    estimate_zeta,
     parse_function,
     run_config,
 )
@@ -96,9 +89,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("variant", ["sqrt2", "pi", "e", "zeta", "sec_tan", "integral"])
     def test_every_estimate_name_checks_workers(self, variant, workers, monkeypatch):
         monkeypatch.setattr(estimators.os, "cpu_count", lambda: 4)
-        estimate = getattr(estimators, f"estimate_{variant}")
         with pytest.raises(ValueError, match="'workers'"):
-            estimate(config(variant, trials=100), workers=workers)
+            run_config(config(variant, trials=100), workers=workers)
 
     def test_numpy_integers_are_taken_for_seed_trials_and_workers(self, tmp_path):
         given = ExperimentConfig("pi", master_seed=np.int64(3), trials=np.int64(100))
@@ -121,15 +113,15 @@ class TestConfigValidation:
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError, match="wobble"):
-            estimate_pi(config("pi", wobble=3))
+            run_config(config("pi", wobble=3))
 
     def test_bad_sampler_mode_named(self):
         with pytest.raises(ValueError, match="sampler_mode"):
-            estimate_pi(config("pi", sampler_mode="dart_board"))
+            run_config(config("pi", sampler_mode="dart_board"))
 
     def test_drift_only_for_drift_mode(self):
         with pytest.raises(ValueError, match="drift"):
-            estimate_pi(config("pi", drift="0.3,-0.3"))
+            run_config(config("pi", drift="0.3,-0.3"))
 
     @pytest.mark.parametrize("variant, params, field", [
         ("pi", {"radius": 2.9}, "radius"),
@@ -164,11 +156,10 @@ class TestConfigValidation:
     def test_bad_value_names_its_field(self, variant, params, field):
         with pytest.raises(ValueError, match=f"'{field}'"):
             run_config(config(variant, trials=100, **params))
-        if "counts" in params and field != "m":
-            # A direct replay coerces through the same table; its m is
-            # zeta's, so only the config path rejects an m for e.
+        if "counts" in params:
+            # A counts config coerces through the same table whatever its trials.
             with pytest.raises(ValueError, match=f"'{field}'"):
-                estimate_from_counts(variant, **params)
+                run_config(config(variant, **params))
 
     @pytest.mark.parametrize("variant, params, field", [
         ("pi", {"wobble": 3}, "wobble"),
@@ -191,8 +182,8 @@ class TestConfigValidation:
             ExperimentConfig(variant=variant, variant_params=params)
 
     def test_string_params_are_coerced(self):
-        record = estimate_pi(config("pi", trials=1000, radius="11",
-                                    raster_mode="raster", sampler_mode="uniform_ideal"))
+        record = run_config(config("pi", trials=1000, radius="11",
+                                   raster_mode="raster", sampler_mode="uniform_ideal"))
         assert record.params["radius"] == 11
 
     def test_config_keeps_only_its_resolved_params(self):
@@ -214,7 +205,7 @@ class TestConfigValidation:
 class TestRegistry:
     def test_dispatch_replay_and_cli_read_the_registry(self):
         assert list(estimators._ESTIMATORS) == list(estimators.VARIANTS)
-        assert all(fn is estimators.sample for fn in estimators._ESTIMATORS.values())
+        assert all(fn is estimators._sample for fn in estimators._ESTIMATORS.values())
         replayable = {name for name, variant in estimators.VARIANTS.items() if variant.replay}
         assert replayable == {"sqrt2", "pi", "e", "zeta"}
         for name in replayable:
@@ -241,8 +232,16 @@ class TestRegistry:
             assert run_config(config(name, counts=counts)).variant == name
         assert len(seen) == len(sampled)
 
+    def test_a_replay_runs_no_block(self, monkeypatch):
+        def no_block(*args, **kwargs):
+            raise AssertionError("a counts replay ran a block")
+        monkeypatch.setattr(estimators, "_map_blocks", no_block)
+        for name, counts in REPLAY_COUNTS.items():
+            record = run_config(config(name, seed=9, counts=counts))
+            assert record.variant == name and record.seed is None
+
     def test_a_counts_config_resolves_through_its_replay_entry(self, monkeypatch):
-        sentinel = estimators.Run([], lambda totals, seed: None)
+        sentinel = estimators.Run([], lambda totals: None)
         built = []
 
         def build(params, trials):
@@ -315,41 +314,41 @@ class TestRegistry:
 
 class TestFromCounts:
     def test_sqrt2_line(self):
-        record = estimate_from_counts("sqrt2", (57, 41))
+        record = run_config(config("sqrt2", counts=(57, 41)))
         assert record.estimate == pytest.approx(57 / 41, rel=0)
         assert record.params["reported_estimate"] == "1.3902"
         assert record.params["reported_error_pct"] == "1.70"
 
     def test_pi_line(self):
-        record = estimate_from_counts("pi", (508, 619))
+        record = run_config(config("pi", counts=(508, 619)))
         assert record.estimate == pytest.approx(4 * 508 / 619, rel=0)
         assert record.params["reported_estimate"] == "3.283"
         assert record.params["reported_error_pct"] == "4.49"
         assert record.ci_low < record.estimate < record.ci_high
 
     def test_e_line(self):
-        record = estimate_from_counts("e", (647, 238))
+        record = run_config(config("e", counts=(647, 238)))
         assert record.params["reported_estimate"] == "2.71849"
         assert record.params["reported_error_pct"] == "0.00766"
         assert abs(record.estimate - E) < 3 * record.stderr
 
     def test_zeta_line(self):
-        record = estimate_from_counts("zeta", (70, 58))
+        record = run_config(config("zeta", counts=(70, 58)))
         assert record.params["reported_estimate"] == "1.2069"
         assert record.relative_error_percent == pytest.approx(0.403)
         assert abs(record.estimate - ZETA3) < 3 * record.stderr
 
     def test_figure_counts_at_five_decimals(self):
-        record = estimate_from_counts("pi", (33943, 43270), reported_decimals=5)
+        record = run_config(config("pi", counts=(33943, 43270), reported_decimals=5))
         assert record.params["reported_estimate"] == "3.13779"
 
     def test_zero_denominator_is_degenerate(self):
         with pytest.raises(DegenerateSampleError):
-            estimate_from_counts("e", (100, 0))
+            run_config(config("e", counts=(100, 0)))
 
     def test_inside_exceeding_total_rejected(self):
         with pytest.raises(ValueError):
-            estimate_from_counts("pi", (700, 619))
+            run_config(config("pi", counts=(700, 619)))
 
     @pytest.mark.parametrize("variant, params, counts", [
         ("e", {"permutation_size": 2}, (1, 0)),
@@ -361,7 +360,7 @@ class TestFromCounts:
         with pytest.raises(DegenerateResultError) as sampled:
             run_config(config(variant, seed=1, trials=1, **params))
         with pytest.raises(DegenerateResultError) as replayed:
-            estimate_from_counts(variant, counts)
+            run_config(config(variant, counts=counts))
         assert ((type(replayed.value), str(replayed.value))
                 == (type(sampled.value), str(sampled.value)))
 
@@ -383,7 +382,8 @@ class TestFromCounts:
             counts = (sampled.success_count, sampled.trials_used)
         else:
             counts = (sampled.trials_used, sampled.success_count)
-        replayed = estimate_from_counts(variant, counts, m=params.get("m", 3))
+        replay_params = {"m": params["m"]} if variant == "zeta" else {}
+        replayed = run_config(config(variant, counts=counts, **replay_params))
         fields = ("estimate", "trials_used", "success_count", "stderr", "ci_low", "ci_high",
                   "reference", "relative_error_percent")
         assert [getattr(replayed, f) for f in fields] == [getattr(sampled, f) for f in fields]
@@ -394,7 +394,7 @@ class TestFromCounts:
         with pytest.raises(ValueError, match=message):
             run_config(config(variant, counts="70,58"))
         with pytest.raises(ValueError, match=message):
-            estimate_from_counts(variant, (70, 58))
+            run_config(config(variant, counts=(70, 58)))
 
     def test_counts_mode_via_run_config(self):
         record = run_config(config("zeta", trials=1, counts="70,58", m="3"))
@@ -406,48 +406,48 @@ class TestSqrt2:
         # period 0.25 s and speed 4 make the leg exactly 41 periods, all in
         # exactly representable binary floats; the hypotenuse then spans
         # 57.98 periods, so the counts replay the quoted 57/41 ratio.
-        record = estimate_sqrt2(config("sqrt2", leg_blocks=41, speed=4, period=0.25))
+        record = run_config(config("sqrt2", leg_blocks=41, speed=4, period=0.25))
         assert record.params["leg_items"] == 41
         assert record.params["hyp_items"] == 57
         assert record.estimate == pytest.approx(57 / 41, rel=0)
 
     def test_long_leg_converges(self):
         # 10^4 periods: quantization error at most one item per count.
-        record = estimate_sqrt2(config("sqrt2", leg_blocks=10_000, speed=2.5))
+        record = run_config(config("sqrt2", leg_blocks=10_000, speed=2.5))
         assert abs(record.estimate - SQRT2) < 2e-4
 
     @pytest.mark.parametrize("leg_blocks", [10, 100, 1000, 10_000])
     def test_quantization_error_bound(self, leg_blocks):
-        record = estimate_sqrt2(config("sqrt2", leg_blocks=leg_blocks))
+        record = run_config(config("sqrt2", leg_blocks=leg_blocks))
         leg_time = leg_blocks / 4.317
         assert abs(record.estimate - SQRT2) <= SQRT2 * 0.4 / leg_time
 
     def test_degenerate_course(self):
         with pytest.raises(DegenerateCourseError):
-            estimate_sqrt2(config("sqrt2", leg_blocks=1, speed=100.0))
+            run_config(config("sqrt2", leg_blocks=1, speed=100.0))
 
     def test_random_phase_is_deterministic_per_seed(self):
-        first = estimate_sqrt2(config("sqrt2", seed=9, random_start_phase=True))
-        second = estimate_sqrt2(config("sqrt2", seed=9, random_start_phase=True))
+        first = run_config(config("sqrt2", seed=9, random_start_phase=True))
+        second = run_config(config("sqrt2", seed=9, random_start_phase=True))
         assert first == second
 
     def test_phase_shifts_counts_by_at_most_one(self):
-        base = estimate_sqrt2(config("sqrt2"))
+        base = run_config(config("sqrt2"))
         for seed in range(10):
-            phased = estimate_sqrt2(config("sqrt2", seed=seed, random_start_phase=True))
+            phased = run_config(config("sqrt2", seed=seed, random_start_phase=True))
             assert abs(phased.params["leg_items"] - base.params["leg_items"]) <= 1
             assert abs(phased.params["hyp_items"] - base.params["hyp_items"]) <= 1
 
 
 class TestPi:
     def test_uniform_ideal_exact_disc_hits_pi(self):
-        record = estimate_pi(config("pi", seed=3, trials=1_000_000))
+        record = run_config(config("pi", seed=3, trials=1_000_000))
         assert abs(record.estimate - PI) < 4 * record.stderr
         assert record.ci_low < record.estimate < record.ci_high
 
     def test_raster_membership_mode_runs(self):
-        record = estimate_pi(config("pi", seed=4, trials=50_000, radius=11,
-                                    raster_mode="raster"))
+        record = run_config(config("pi", seed=4, trials=50_000, radius=11,
+                                   raster_mode="raster"))
         assert 3.0 < record.estimate < 3.3
 
     def test_raster_mode_builds_nothing_quadratic_in_the_radius(self):
@@ -455,11 +455,11 @@ class TestPi:
         # not pay for a table of them.
         cfg = config("pi", seed=4, trials=1_000, radius=400, raster_mode="raster")
         start = time.perf_counter()
-        estimate_pi(cfg)
+        run_config(cfg)
         assert time.perf_counter() - start < 0.5
         tracemalloc.start()
         try:
-            estimate_pi(cfg)
+            run_config(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -467,21 +467,21 @@ class TestPi:
 
     def test_largest_radius_runs_in_both_modes(self):
         for raster_mode in ("raster", "exact_disc"):
-            record = estimate_pi(config("pi", seed=4, trials=20_000, radius=2 ** 30,
-                                        raster_mode=raster_mode))
+            record = run_config(config("pi", seed=4, trials=20_000, radius=2 ** 30,
+                                       raster_mode=raster_mode))
             assert abs(record.estimate - PI) < 4 * record.stderr
 
     def test_slime_walk_mode_runs(self):
-        record = estimate_pi(config("pi", seed=5, trials=5_000, radius=15,
-                                    sampler_mode="slime_walk", raster_mode="raster"))
+        record = run_config(config("pi", seed=5, trials=5_000, radius=15,
+                                   sampler_mode="slime_walk", raster_mode="raster"))
         assert 2.5 < record.estimate < 3.3
         assert record.success_count <= 5_000
 
     def test_drift_mode_biases_low(self):
-        plain = estimate_pi(config("pi", seed=6, trials=20_000, radius=20,
-                                   sampler_mode="slime_walk"))
-        drifted = estimate_pi(config("pi", seed=6, trials=20_000, radius=20,
-                                     sampler_mode="slime_walk_drift"))
+        plain = run_config(config("pi", seed=6, trials=20_000, radius=20,
+                                  sampler_mode="slime_walk"))
+        drifted = run_config(config("pi", seed=6, trials=20_000, radius=20,
+                                    sampler_mode="slime_walk_drift"))
         combined = math.hypot(plain.stderr, drifted.stderr)
         assert plain.estimate - drifted.estimate > 3 * combined
 
@@ -489,8 +489,8 @@ class TestPi:
     @pytest.mark.parametrize("sampler_mode", ["slime_walk", "slime_walk_drift"])
     def test_death_cells_count_alike_in_raster_and_exact_disc(self, sampler_mode, seed):
         # a death cell is in the raster iff its center is in the exact disc
-        counts = {estimate_pi(config("pi", seed=seed, trials=3_000, radius=9,
-                                     sampler_mode=sampler_mode, raster_mode=mode)).success_count
+        counts = {run_config(config("pi", seed=seed, trials=3_000, radius=9,
+                                    sampler_mode=sampler_mode, raster_mode=mode)).success_count
                   for mode in ("raster", "exact_disc")}
         assert len(counts) == 1
 
@@ -502,13 +502,13 @@ class TestPi:
 
 class TestE:
     def test_size_nine_within_four_stderr_of_ratio_target(self):
-        record = estimate_e(config("e", seed=1, trials=1_000_000))
+        record = run_config(config("e", seed=1, trials=1_000_000))
         target = math.factorial(9) / derangement_count(9)
         assert abs(record.estimate - target) < 4 * record.stderr
 
     def test_small_size_bias_is_visible(self):
         # Size 2 converges to 2!/D(2) = 2, not e: the small-n bias dominates.
-        record = estimate_e(config("e", seed=2, trials=200_000, permutation_size=2))
+        record = run_config(config("e", seed=2, trials=200_000, permutation_size=2))
         assert abs(record.estimate - 2.0) < 4 * record.stderr
         assert abs(record.estimate - E) > 10 * record.stderr
 
@@ -517,22 +517,22 @@ class TestE:
             s for s in range(100)
             if dropper_rank_block(Dropper(2), derive_stream(s, StreamId("e", 0)), 1)[0] == 0)
         with pytest.raises(DegenerateSampleError):
-            estimate_e(ExperimentConfig(variant="e", master_seed=seed, trials=1,
+            run_config(ExperimentConfig(variant="e", master_seed=seed, trials=1,
                                         variant_params={"permutation_size": 2}))
 
     def test_size_bounds(self):
         for bad in (10, 9.99, True):
             with pytest.raises(ValueError, match="permutation_size"):
-                estimate_e(config("e", permutation_size=bad))
+                run_config(config("e", permutation_size=bad))
 
 
 class TestZeta:
     def test_apery_within_four_stderr(self):
-        record = estimate_zeta(config("zeta", seed=1, trials=400_000))
+        record = run_config(config("zeta", seed=1, trials=400_000))
         assert abs(record.estimate - ZETA3) < 4 * record.stderr
 
     def test_even_m_reports_pi_square(self):
-        record = estimate_zeta(config("zeta", seed=2, trials=400_000, m=2))
+        record = run_config(config("zeta", seed=2, trials=400_000, m=2))
         assert record.params["pi_power"] == 2
         derived = record.params["pi_power_estimate"]
         assert derived == pytest.approx(6 * record.estimate, rel=0)
@@ -541,19 +541,19 @@ class TestZeta:
     def test_finite_universe_bias_is_visible(self):
         # With values capped at 10 the estimator converges to the exact
         # finite-universe reciprocal, not to zeta(3).
-        record = estimate_zeta(config("zeta", seed=3, trials=400_000, value_bound=10))
+        record = run_config(config("zeta", seed=3, trials=400_000, value_bound=10))
         finite_target = 1 / float(coprime_probability_exact(3, 10))
         assert abs(record.estimate - finite_target) < 4 * record.stderr
         assert abs(finite_target - ZETA3) > 10 * record.stderr
 
     def test_random_tick_sampler_is_flagged(self):
-        record = estimate_zeta(config("zeta", seed=4, trials=30_000,
-                                      sampler_mode="random_tick"))
+        record = run_config(config("zeta", seed=4, trials=30_000,
+                                   sampler_mode="random_tick"))
         assert record.params["value_distribution"] == "negative_binomial_non_uniform"
         assert record.estimate > 1.0
 
     def test_largest_m_runs(self):
-        record = estimate_zeta(config("zeta", seed=6, trials=1_000, m=64))
+        record = run_config(config("zeta", seed=6, trials=1_000, m=64))
         assert record.estimate == 1.0
         assert record.reference == 1.0
 
@@ -565,10 +565,10 @@ class TestZeta:
     def test_m_validation(self):
         for bad in (1, 3.5, True):
             with pytest.raises(ValueError, match="'m'"):
-                estimate_zeta(config("zeta", m=bad))
+                run_config(config("zeta", m=bad))
 
     def test_largest_value_bound_draws_int64_values(self):
-        record = estimate_zeta(config("zeta", seed=5, trials=20_000, value_bound=2 ** 63 - 1))
+        record = run_config(config("zeta", seed=5, trials=20_000, value_bound=2 ** 63 - 1))
         assert abs(record.estimate - ZETA3) < 4 * record.stderr
 
 
@@ -656,23 +656,23 @@ class TestGcdKernels:
 
 class TestSecTan:
     def test_trivial_sizes_are_exact(self):
-        record = estimate_sec_tan(config("sec_tan", trials=10, max_size=1))
+        record = run_config(config("sec_tan", trials=10, max_size=1))
         assert record.estimate == 2.0
         assert record.stderr == 0.0
 
     def test_against_oracle_partial_sum(self):
-        record = estimate_sec_tan(config("sec_tan", seed=5, trials=100_000))
+        record = run_config(config("sec_tan", seed=5, trials=100_000))
         oracle = float(sum(Fraction(zigzag_count(n), math.factorial(n)) for n in range(10)))
         assert abs(record.estimate - oracle) < 3 * record.stderr
 
     def test_reference_is_the_constant(self):
-        record = estimate_sec_tan(config("sec_tan", trials=100, max_size=3))
+        record = run_config(config("sec_tan", trials=100, max_size=3))
         assert record.reference == CONSTANTS.sec1_plus_tan1
 
 
 class TestIntegral:
     def test_flat_zero_curve_is_exactly_zero(self):
-        record = estimate_integral(config("integral", function_spec="0*x", a=0, b=1))
+        record = run_config(config("integral", function_spec="0*x", a=0, b=1))
         assert record.estimate == 0.0
         assert record.stderr == 0.0
 
@@ -682,7 +682,7 @@ class TestIntegral:
 
     def test_no_hits_on_a_tall_box_is_degenerate(self):
         with pytest.raises(DegenerateSampleError):
-            estimate_integral(config("integral", trials=100, function_spec="1/(x-0.3)"))
+            run_config(config("integral", trials=100, function_spec="1/(x-0.3)"))
 
     @pytest.mark.parametrize("function_spec, raster_mode", [
         ("log(x)", "continuous"),  # -inf at the grid's first point, x = 0
@@ -715,25 +715,25 @@ class TestIntegral:
                               b=60))
 
     def test_linear_function(self):
-        record = estimate_integral(config("integral", seed=1, trials=1_000_000,
-                                          function_spec="x", a=0, b=1))
+        record = run_config(config("integral", seed=1, trials=1_000_000,
+                                   function_spec="x", a=0, b=1))
         assert abs(record.estimate - 0.5) < 3 * record.stderr
 
     def test_showcase_continuous_against_antiderivative(self):
-        record = estimate_integral(config("integral", seed=2, trials=1_000_000))
+        record = run_config(config("integral", seed=2, trials=1_000_000))
         assert record.reference == pytest.approx(SHOWCASE_INTEGRAL, abs=1e-9)
         assert abs(record.estimate - SHOWCASE_INTEGRAL) < 4 * record.stderr
 
     def test_continuous_record_echoes_its_quadrature(self):
-        record = estimate_integral(config("integral", trials=1_000))
+        record = run_config(config("integral", trials=1_000))
         assert record.params["reference_converged"] is True
         abserr = record.params["reference_abserr"]
         assert 0 < abserr < 1e-11
         assert abs(record.reference - SHOWCASE_INTEGRAL) <= abserr
 
     def test_unconverged_reference_is_flagged(self):
-        record = estimate_integral(config("integral", trials=1_000,
-                                          function_spec="abs(sin(300*x))"))
+        record = run_config(config("integral", trials=1_000,
+                                   function_spec="abs(sin(300*x))"))
         assert record.params["reference_converged"] is False
         # 763 whole arches of area 2/300, then the start of the next one
         exact = (2 * 763 + 1 - math.cos(2400 - 763 * math.pi)) / 300
@@ -742,16 +742,16 @@ class TestIntegral:
     def test_showcase_rasterized_against_column_sum(self):
         from blockmonte.geometry import rasterize_curve
 
-        record = estimate_integral(config("integral", seed=3, trials=1_000_000,
-                                          raster_mode="rasterized"))
+        record = run_config(config("integral", seed=3, trials=1_000_000,
+                                   raster_mode="rasterized"))
         f = parse_function("x**2*sin(x) + cbrt(x)")
         column_sum = rasterize_curve(f, 0, 8).signed_column_area()
         assert record.reference == float(column_sum)
         assert abs(record.estimate - column_sum) < 4 * record.stderr
 
     def test_negative_region_counts_subtract(self):
-        record = estimate_integral(config("integral", seed=4, trials=400_000,
-                                          function_spec="-1 + 0*x", a=0, b=2))
+        record = run_config(config("integral", seed=4, trials=400_000,
+                                   function_spec="-1 + 0*x", a=0, b=2))
         assert abs(record.estimate - (-2.0)) < 4 * max(record.stderr, 1e-12)
 
     @pytest.mark.parametrize("x", [-1.0, np.array([-1.0])])
@@ -772,15 +772,15 @@ class TestIntegral:
 
     def test_bad_syntax_rejected(self):
         with pytest.raises(ValueError, match="function_spec"):
-            estimate_integral(config("integral", function_spec="x +* 2"))
+            run_config(config("integral", function_spec="x +* 2"))
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="function_spec"):
-            estimate_integral(config("integral", function_spec="__import__('os')"))
+            run_config(config("integral", function_spec="__import__('os')"))
 
     def test_bounds_must_increase(self):
         with pytest.raises(ValueError, match="'b'"):
-            estimate_integral(config("integral", a=3, b=3))
+            run_config(config("integral", a=3, b=3))
 
 
 # One spec per enclosure rule: x, numbers, pi and e, unary and binary
@@ -945,7 +945,7 @@ class TestBandedHits:
             parse_function(spec)(0 + u * (8 - 0))
         assert "not finite at x = 3.70" in str(every_point.value)
         with pytest.raises(ValueError) as banded:
-            estimate_integral(config("integral", seed=0, trials=trials, function_spec=spec))
+            run_config(config("integral", seed=0, trials=trials, function_spec=spec))
         assert str(banded.value) == str(every_point.value)
 
 
@@ -1032,9 +1032,9 @@ class TestDeterminism:
 
     def test_worker_count_does_not_change_results(self):
         cfg = config("pi", seed=11, trials=200_000)
-        assert estimate_pi(cfg, workers=1) == estimate_pi(cfg, workers=4)
+        assert run_config(cfg, workers=1) == run_config(cfg, workers=4)
         cfg_e = config("e", seed=11, trials=200_000)
-        assert estimate_e(cfg_e, workers=1) == estimate_e(cfg_e, workers=3)
+        assert run_config(cfg_e, workers=1) == run_config(cfg_e, workers=3)
 
 
 class TestWorkerPool:
@@ -1079,13 +1079,13 @@ class TestWorkerPool:
     def test_clamped_pool_keeps_the_record(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(estimators.os, "cpu_count", lambda: 2)
         cfg = config("e", seed=5, trials=3 * estimators.BLOCK_TRIALS)
-        assert estimate_e(cfg, workers=10 ** 6) == estimate_e(cfg, workers=1)
+        assert run_config(cfg, workers=10 ** 6) == run_config(cfg, workers=1)
         assert pool_sizes == [2]
 
     def test_sec_tan_sizes_share_one_pool(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(estimators.os, "cpu_count", lambda: 2)
         cfg = config("sec_tan", seed=6, trials=estimators.BLOCK_TRIALS + 9)
-        assert estimate_sec_tan(cfg, workers=2) == estimate_sec_tan(cfg, workers=1)
+        assert run_config(cfg, workers=2) == run_config(cfg, workers=1)
         assert pool_sizes == [2]
 
 
