@@ -47,11 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="replay recorded counts instead of sampling")
     estimate.add_argument("--run-id", default=None)
     estimate.add_argument("--workers", type=int, default=1)
+    estimate.set_defaults(handler=_cmd_estimate)
 
     run = commands.add_parser("run", help="run every experiment in a manifest")
     run.add_argument("manifest")
     run.add_argument("--workers", type=int, default=None,
                      help="override the manifest worker count")
+    run.set_defaults(handler=_cmd_run)
 
     raster = commands.add_parser("raster", help="rasterization utilities")
     raster_kind = raster.add_subparsers(dest="shape", required=True)
@@ -62,10 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     circle.add_argument("--outline", action="store_true",
                         help="draw only the ring of boundary cells")
     circle.add_argument("--out", default=None, metavar="FILE")
+    circle.set_defaults(handler=_cmd_raster)
 
     oracle = commands.add_parser("oracle", help="exact reference computations")
     oracle.add_argument("name", choices=sorted(_ORACLES))
     oracle.add_argument("args", nargs="*", type=int)
+    oracle.set_defaults(handler=_cmd_oracle)
 
     return parser
 
@@ -73,15 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "raster":
-            return _cmd_raster(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.handler(args)
     except DegenerateResultError as exc:
         print(f"degenerate result: {exc}", file=sys.stderr)
         return 1
@@ -94,6 +90,7 @@ def main(argv=None) -> int:
 
 
 def _default_seed() -> int:
+    """$BLOCKMONTE_SEED, else 0; read only for a sampling config that sets no seed."""
     raw = os.environ.get(SEED_ENV_VAR)
     return 0 if raw is None else dataclasses.replace(SEED, text=True).coerce(SEED_ENV_VAR, raw)
 
@@ -104,17 +101,21 @@ def _parse_params(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise ValueError(f"invalid value for '--param': {pair!r} is not KEY=VALUE")
         key, value = pair.split("=", 1)
-        params[key.strip()] = value.strip()
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"invalid value for '{key}': given twice")
+        params[key] = value.strip()
     return params
 
 
 def _cmd_estimate(args) -> int:
     run_id = args.variant if args.run_id is None else args.run_id
     check_run_id(run_id)
-    params = _parse_params(args.param)
-    if args.from_counts is not None:
-        params["counts"] = args.from_counts
-    seed = args.seed if args.seed is not None else _default_seed()
+    counts = [] if args.from_counts is None else [f"counts={args.from_counts}"]
+    params = _parse_params(args.param + counts)
+    seed = args.seed
+    if seed is None:  # a counts replay draws nothing
+        seed = 0 if "counts" in params else _default_seed()
     config = ExperimentConfig(variant=args.variant, master_seed=seed,
                               trials=args.trials, variant_params=params)
     started = time.perf_counter()
@@ -131,7 +132,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    manifest = load_manifest(args.manifest, default_seed=_default_seed())
+    manifest = load_manifest(args.manifest, default_seed=_default_seed)
     if args.workers is not None:
         manifest = dataclasses.replace(manifest, workers=args.workers)
     started = time.perf_counter()

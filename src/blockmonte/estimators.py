@@ -275,16 +275,12 @@ def resolve_params(variant: str, raw: dict, trials: int) -> tuple[dict, Run]:
             raise ValueError("invalid value for 'variant': counts replay supports " + ", ".join(
                 name for name, other in VARIANTS.items() if other.replay is not None))
         entry = entry.replay
-    params = _coerce_table(variant, entry.params, raw)
-    return params, entry.build(params, trials)
-
-
-def _coerce_table(variant: str, table: dict[str, Param], raw: dict) -> dict:
     for key in raw:
-        if key not in table:
+        if key not in entry.params:
             raise ValueError(f"unknown parameter '{key}' for variant '{variant}'")
-    return {name: entry.coerce(name, raw[name]) if name in raw else entry.default
-            for name, entry in table.items()}
+    params = {name: param.coerce(name, raw[name]) if name in raw else param.default
+              for name, param in entry.params.items()}
+    return params, entry.build(params, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -484,31 +480,25 @@ def _gcd_table() -> np.ndarray:
 def _coprime_rows(values: np.ndarray, table: np.ndarray) -> int:
     """Number of rows of positive integers whose gcd is 1.
 
-    A block whose values are all below the side of ``table`` (``_gcd_table()``)
-    chains each row's gcd through it, one lookup per column; any other block
-    chains the binary gcd column by column, which is cheaper than
-    ``np.gcd.reduce`` along the short row axis.
+    Each row's gcd is chained column by column through one pairwise step,
+    picked from the block's largest value: a lookup in ``table``
+    (``_gcd_table()``) when every value is below its side, else the binary
+    ``np.gcd``, which is cheaper than ``np.gcd.reduce`` along the short row
+    axis, and faster in int32 when the values fit.
     """
-    if values.max() < GCD_TABLE_SIDE:
-        return _table_coprime(values, table)
-    return _chained_gcd_coprime(values)
-
-
-def _table_coprime(values: np.ndarray, table: np.ndarray) -> int:
+    largest = values.max()
+    if largest < GCD_TABLE_SIDE:
+        def step(common, column):
+            index = np.multiply(common, GCD_TABLE_SIDE, dtype=np.intp)
+            index += column
+            return table.take(index)
+    else:
+        step = np.gcd
+        if values.dtype == np.int64 and largest < 2 ** 31:
+            values = values.astype(np.int32)
     common = values[:, 0]
     for column in range(1, values.shape[1]):
-        index = np.multiply(common, GCD_TABLE_SIDE, dtype=np.intp)
-        index += values[:, column]
-        common = table.take(index)
-    return int(np.count_nonzero(common == 1))
-
-
-def _chained_gcd_coprime(values: np.ndarray) -> int:
-    if values.dtype == np.int64 and values.max() < 2 ** 31:
-        values = values.astype(np.int32)  # the int32 gcd is faster
-    common = values[:, 0]
-    for column in range(1, values.shape[1]):
-        common = np.gcd(common, values[:, column])
+        common = step(common, values[:, column])
     return int(np.count_nonzero(common == 1))
 
 

@@ -14,6 +14,7 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -85,10 +86,12 @@ def check_run_id(run_id: str) -> None:
         raise ValueError(f"invalid value for 'run_id': longer than {RUN_ID_MAX_BYTES} bytes")
 
 
-def load_manifest(path, default_seed: int = 0) -> RunManifest:
+def load_manifest(path, default_seed: Callable[[], int] = lambda: 0) -> RunManifest:
     """Parse a flat key=value manifest: one [run] section plus one section
     per experiment, all variant params as strings.  Each config resolves its
     params as it is built, so every section is checked before any trial.
+    A section without ``seed`` takes ``default_seed()``, called only for a
+    section that samples: a ``counts`` replay draws nothing.
     Values are read literally (no % interpolation), an error in an
     experiment section names it, and a [DEFAULT] section is refused."""
     path = Path(path)
@@ -119,7 +122,9 @@ def load_manifest(path, default_seed: int = 0) -> RunManifest:
             raise ValueError(f"invalid value for 'variant': section [{name}] has none")
         variant = section.pop("variant")
         try:
-            seed = Param("int").coerce("seed", section.pop("seed", default_seed))
+            if "seed" not in section:
+                section["seed"] = 0 if "counts" in section else default_seed()
+            seed = Param("int").coerce("seed", section.pop("seed"))
             trials = Param("int").coerce("trials", section.pop("trials", 10_000))
             configs.append(ExperimentConfig(variant=variant, master_seed=seed,
                                             trials=trials, variant_params=section))

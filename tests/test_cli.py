@@ -70,7 +70,7 @@ class TestManifest:
 
     def test_default_seed_applies(self, tmp_path):
         path = write_manifest(tmp_path / "d.ini", "[exp]\nvariant = pi\ntrials = 100\n")
-        manifest = load_manifest(path, default_seed=99)
+        manifest = load_manifest(path, default_seed=lambda: 99)
         assert manifest.configs[0].master_seed == 99
 
     def test_run_id_must_be_non_empty(self):
@@ -411,6 +411,40 @@ class TestCommandLine:
         monkeypatch.setattr(cli, "run_config", no_trial)
         assert cli.main(["estimate", "pi", "--trials", "100"]) == 2
         assert "'BLOCKMONTE_SEED'" in capsys.readouterr().err
+
+    def test_a_counts_replay_reads_no_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+        assert cli.main(["estimate", "e", "--from-counts", "647,238"]) == 0
+        assert json.loads(capsys.readouterr().out.strip())["seed"] is None
+
+    def test_a_manifest_that_sets_every_seed_reads_no_env_seed(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+        body = ("[run]\nrun_id = seeded\noutput_dir = {out}\n\n"
+                "[e]\nvariant = e\nseed = 3\ntrials = 500\n\n"
+                "[replay]\nvariant = e\ncounts = 647,238\n").format(out=tmp_path / "out")
+        assert cli.main(["run", str(write_manifest(tmp_path / "s.ini", body))]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [row["seed"] for row in rows] == [3, None]
+
+    def test_a_manifest_section_without_seed_checks_the_env_seed(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+        monkeypatch.setattr(runner, "run_config", no_trial)
+        body = ("[run]\nrun_id = unseeded\noutput_dir = {out}\n\n"
+                "[e]\nvariant = e\ntrials = 500\n").format(out=tmp_path / "out")
+        assert cli.main(["run", str(write_manifest(tmp_path / "u.ini", body))]) == 2
+        assert "'BLOCKMONTE_SEED'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["pi", "--param", "radius=5", "--param", "radius=7"], "radius"),
+        (["e", "--from-counts", "647,238", "--param", "counts=1,1"], "counts"),
+    ], ids=["repeated_param", "from_counts_and_counts_param"])
+    def test_a_key_given_twice_exits_two_before_any_trial(self, capsys, monkeypatch, argv, key):
+        monkeypatch.setattr(cli, "run_config", no_trial)
+        assert cli.main(["estimate", *argv, "--trials", "100"]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
 
     def test_run_command(self, tmp_path, capsys):
         path = write_manifest(tmp_path / "m.ini", BASIC_MANIFEST.format(out=tmp_path / "o"))

@@ -611,11 +611,25 @@ class TestGcdKernels:
 
     @pytest.mark.parametrize("kind", ["small", "large", "mixed"])
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
-    def test_coprime_rows_match_the_int64_chain(self, m, kind):
+    def test_coprime_rows_match_the_int64_chain(self, m, kind, monkeypatch):
         values = gcd_block(kind, m)
         expected = chained_int64_gcd_coprime(values)
+        table = estimators._gcd_table()
+        assert estimators._coprime_rows(values, table) == expected
+        monkeypatch.setattr(estimators, "GCD_TABLE_SIDE", 1)  # every block takes np.gcd
+        assert estimators._coprime_rows(values, table) == expected
+
+    @pytest.mark.parametrize("largest", [estimators.GCD_TABLE_SIDE - 1,
+                                         estimators.GCD_TABLE_SIDE])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_coprime_rows_at_the_table_side(self, m, largest):
+        rng = np.random.default_rng(m)
+        values = np.vstack([rng.integers(1, largest + 1, (3000, m)),
+                            np.full((1, m), largest),
+                            np.resize([largest, 2], (5, m))]).astype(np.int64)
+        assert values.max() == largest
+        expected = chained_int64_gcd_coprime(values)
         assert estimators._coprime_rows(values, estimators._gcd_table()) == expected
-        assert estimators._chained_gcd_coprime(values) == expected
 
     @pytest.mark.parametrize("params", [
         {"value_bound": 100},
