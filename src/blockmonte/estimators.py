@@ -14,7 +14,6 @@ import itertools
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
@@ -309,9 +308,14 @@ def _map_blocks(seed: int, jobs: list[tuple[str, int, Callable]], workers: int =
 
     workers = min(workers, os.cpu_count() or 1, blocks)
     totals = [0] * len(jobs)
-    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        run = map if pool is None else pool.map
+    pool = contextlib.nullcontext()
+    if workers > 1:
+        # Imported here, not at the top: it also loads logging and queue,
+        # which a serial run never needs.
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=workers)
+    with pool as executor:
+        run = map if executor is None else executor.map
         chunk = CHUNK_BLOCKS * max(workers, 1)
         for _ in range(0, blocks, chunk):
             for job, index, result in run(run_one, itertools.islice(plan, chunk)):

@@ -8,7 +8,6 @@ so re-running a manifest with the same seeds reproduces them byte for byte.
 
 from __future__ import annotations
 
-import configparser
 import csv
 import io
 import json
@@ -92,12 +91,16 @@ def load_manifest(path, default_seed: Callable[[], int] = lambda: 0) -> RunManif
     params as it is built, so every section is checked before any trial.
     A section without ``seed`` takes ``default_seed()``, called only for a
     section that samples: a ``counts`` replay draws nothing.
-    Values are read literally (no % interpolation), an error in an
-    experiment section names it, and a [DEFAULT] section is refused."""
+    Keys keep their case, as with --param, values are read literally (no %
+    interpolation), an error in an experiment section names it, and a
+    [DEFAULT] section is refused."""
+    import configparser  # only `run` reads a manifest
+
     path = Path(path)
     # No section is the parser's default one (a header cannot name ""), so
     # [DEFAULT] stays a section of its own rather than entering every other.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
+    parser.optionxform = str  # the default lower-cases every key
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -21,6 +22,16 @@ from blockmonte.runner import (
     report_row,
     run_experiment,
 )
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this blockmonte,
+    with no default seed."""
+    src = str(Path(blockmonte.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    env.pop(cli.SEED_ENV_VAR, None)
+    return env
 
 
 def write_manifest(path, body):
@@ -480,6 +491,7 @@ class TestCommandLine:
         ("variant = pi\nwobble = 1", "wobble"),
         ("variant = zeta\nm = 65", "m"),
         ("variant = integral\nfunction_spec = sinc(x)", "function_spec"),
+        ("variant = pi\nRadius = 7", "Radius"),  # keys keep their case, as --param's do
     ])
     def test_bad_last_section_exits_two_before_the_first_trial(
             self, tmp_path, capsys, monkeypatch, last, field):
@@ -542,13 +554,15 @@ class TestCommandLine:
     def test_unknown_run_key_exits_two_and_names_it(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(runner, "run_config", None)
         out = tmp_path / "out"
-        path = write_manifest(tmp_path / "m.ini", f"[run]\noutput_dir = {out}\nworker = 0\n"
-                              "format = svg\n\n[pi]\nvariant = pi\n")
-        assert cli.main(["run", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "'worker'" in err
-        assert all(key in err for key in runner.RUN_KEYS)
-        assert not out.exists()
+        # `Workers` is not `workers`: keys keep their case, as --param's do.
+        for keys, named in [("worker = 0\nformat = svg\n", "worker"), ("Workers = 2\n", "Workers")]:
+            path = write_manifest(tmp_path / "m.ini", f"[run]\noutput_dir = {out}\n{keys}\n"
+                                  "[pi]\nvariant = pi\n")
+            assert cli.main(["run", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"'{named}'" in err
+            assert all(key in err for key in runner.RUN_KEYS)
+            assert not out.exists()
 
     @pytest.mark.parametrize("run_section", ["[run]\nrun_id = d\n\n", ""],
                              ids=["with-run", "without-run"])
@@ -717,10 +731,87 @@ def test_cli_commands_import_no_scipy(tmp_path):
         f"estimate pi --trials 2000 --param raster_mode=raster --out {tmp_path} "
         "--format txt,svg",
     ]
-    src = str(Path(blockmonte.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    result = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, *calls], env=env,
+    result = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, *calls], env=child_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+# Runs one CLI call in a fresh interpreter, then prints which of the
+# modules that only some commands need it imported.
+IMPORT_BUDGET_SCRIPT = """
+import json, sys
+from blockmonte import cli
+assert cli.main(sys.argv[1].split()) == 0, sys.argv[1]
+print(json.dumps(sorted({"concurrent.futures", "configparser"} & set(sys.modules))))
+"""
+
+# A thread pool is built only when more than one core and block are in play.
+POOLED = ["concurrent.futures"] if (os.cpu_count() or 1) > 1 else []
+
+
+@pytest.mark.parametrize("argv, imported", [
+    ("estimate pi --workers 1", []),
+    ("estimate e --workers 1", []),
+    ("estimate zeta --workers 1", []),
+    ("estimate pi --out {out} --format txt,svg", []),
+    ("estimate e --workers 2 --trials 200000", POOLED),
+    ("run {manifest}", ["configparser"]),
+])
+def test_cli_commands_import_the_pool_and_manifest_parser_only_on_their_path(
+        tmp_path, argv, imported):
+    manifest = write_manifest(tmp_path / "m.ini", f"[run]\noutput_dir = {tmp_path / 'runs'}\n\n"
+                              "[e]\nvariant = e\ntrials = 2000\n")
+    argv = argv.format(out=tmp_path / "out", manifest=manifest)
+    result = subprocess.run([sys.executable, "-c", IMPORT_BUDGET_SCRIPT, argv], env=child_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == imported
+
+
+def test_the_process_entry_writes_what_run_experiment_writes(tmp_path):
+    params = {"sampler_mode": "slime_walk_drift", "raster_mode": "raster"}
+    formats = ("jsonl", "csv", "svg", "txt")
+    argv = ["estimate", "pi", "--out", str(tmp_path / "cli"), "--format", ",".join(formats),
+            "--workers", "2"]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={value}"]
+    result = subprocess.run([sys.executable, "-m", "blockmonte.cli", *argv], env=child_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    config = ExperimentConfig("pi", master_seed=0, trials=10_000, variant_params=params)
+    records = run_experiment(RunManifest(run_id="pi", configs=[config],
+                                         output_dir=tmp_path / "lib", formats=formats))
+    assert result.stdout == json.dumps(report_row("pi", records[0])) + "\n"
+    names = sorted(child.name for child in (tmp_path / "lib").iterdir())
+    assert names == ["pi.csv", "pi.jsonl", "pi.txt", "pi_00_pi.svg"]
+    assert sorted(child.name for child in (tmp_path / "cli").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
+class TestProcessEntry:
+    """``run()`` freezes the heap, then exits with ``main()``'s code."""
+
+    @pytest.fixture(autouse=True)
+    def unfreeze(self):
+        yield
+        gc.unfreeze()
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["estimate", "sqrt2", "--param", "leg_blocks=1", "--param", "speed=100"], 1,
+         "degenerate"),
+        (["estimate", "pi", "--param", "wobble=1"], 2, "'wobble'"),
+    ], ids=["degenerate", "bad-param"])
+    def test_exit_code_is_mains(self, capsys, monkeypatch, argv, code, message):
+        monkeypatch.setattr(sys, "argv", ["blockmonte", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+        assert exit_info.value.code == code
+        assert message in capsys.readouterr().err
+        assert gc.get_freeze_count() > 0
+
+    def test_main_does_not_freeze(self, capsys):
+        gc.unfreeze()
+        assert cli.main(["estimate", "e", "--trials", "100"]) == 0
+        assert gc.get_freeze_count() == 0

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import copy
 import dataclasses
 import importlib
@@ -1072,7 +1073,7 @@ class TestWorkerPool:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(estimators, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         return sizes
 
     @pytest.mark.parametrize("workers, cpus, blocks, expected", [
@@ -1125,7 +1126,7 @@ class TestExecutor:
                 lengths.append(len(items))
                 return map(fn, items)
 
-        monkeypatch.setattr(estimators, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(estimators.os, "cpu_count", lambda: 2)
         blocks = 2 * estimators.CHUNK_BLOCKS * 2 + 5
         trials = blocks * estimators.BLOCK_TRIALS
