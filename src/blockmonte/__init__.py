@@ -28,7 +28,6 @@ from .geometry import (
     archimedes_bounds,
     cell_in_disc,
     gauss_kronrod,
-    is_sum_of_two_squares,
     raster_to_text,
     rasterize_circle,
     rasterize_curve,
@@ -47,7 +46,6 @@ from .mechanics import (
 from .numtheory import (
     coprime_probability_exact,
     euler_product_partial,
-    gcd_tuple,
     zeta_partial,
     zeta_value,
 )

@@ -63,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     raster_kind = raster.add_subparsers(dest="shape", required=True)
     circle = raster_kind.add_parser("circle")
     circle.add_argument("--radius", type=int, required=True)
-    circle.add_argument("--txt", action="store_true",
-                        help="plain-text output (the default and only format)")
     circle.add_argument("--outline", action="store_true",
                         help="draw only the ring of boundary cells")
     circle.add_argument("--out", default=None, metavar="FILE")

@@ -282,6 +282,14 @@ def resolve_params(variant: str, raw: dict, trials: int) -> tuple[dict, Run]:
     return params, entry.build(params, trials)
 
 
+def _unread(variant: str, params: dict, names: tuple[str, ...], reader: str) -> None:
+    """Refuse a value other than its default for a field the config's mode
+    never reads, which the echo would otherwise show as if it shaped the run."""
+    for name in names:
+        if params[name] != VARIANTS[variant].params[name].default:
+            raise ValueError(f"invalid value for '{name}': only {reader} reads it")
+
+
 # ---------------------------------------------------------------------------
 # block execution
 
@@ -365,6 +373,9 @@ def _build_pi(params: dict, trials: int) -> Run:
     radius = params["radius"]
     uniform = params["sampler_mode"] == "uniform_ideal"
     if uniform:
+        _unread("pi", params, ("step_cells", "turn_probability", "kill_probability"),
+                "a slime sampler")
+
         def cells(stream, count):
             points = _uniform_points(stream, count, radius)
             return tuple(np.floor(points, out=points).astype(np.int64))
@@ -506,8 +517,7 @@ def _coprime_rows(values: np.ndarray, table: np.ndarray) -> int:
     return int(np.count_nonzero(common == 1))
 
 
-def reference_zeta(m: int) -> float:
-    return zeta_value(m)
+reference_zeta = zeta_value
 
 
 def _build_zeta(params: dict, trials: int) -> Run:
@@ -523,6 +533,7 @@ def _build_zeta(params: dict, trials: int) -> Run:
     """
     m, table = params["m"], _gcd_table()
     if params["sampler_mode"] == "uniform":
+        _unread("zeta", params, ("growth_prob", "speed_multiplier"), "the random_tick sampler")
         distribution = "uniform"
         bound = params["value_bound"]
         # int32 below 2^31, where 1 can be added in place, feeds the int32 gcd as drawn
@@ -533,6 +544,7 @@ def _build_zeta(params: dict, trials: int) -> Run:
             values += 1
             return _coprime_rows(values, table)
     else:
+        _unread("zeta", params, ("value_bound",), "the uniform sampler")
         distribution = "negative_binomial_non_uniform"
         sched = RandomTickScheduler(speed_multiplier=params["speed_multiplier"])
         growth = params["growth_prob"]

@@ -99,21 +99,21 @@ def rasterize_circle(radius: int) -> CircleRaster:
     return CircleRaster(radius=int(radius))
 
 
-def raster_to_text(raster: CircleRaster, fill: str = "#", empty: str = ".",
-                   outline_only: bool = False) -> str:
-    """Plain-text rendering, one grid row per line (north at the top)."""
+def raster_to_text(raster: CircleRaster, outline_only: bool = False) -> str:
+    """Plain-text rendering, one grid row per line (north at the top): '#'
+    for a cell of the disc, or of its outline, and '.' for any other."""
     r, spans = raster.radius, raster.spans
     rows = []
     for z in range(r, -r - 1, -1):
         span = spans[abs(z)]
         # |x| <= span is filled; the outline leaves |x| < inner empty
         inner = raster._ring(abs(z)).start if outline_only else 0
-        margin = empty * (r - span)
+        margin = "." * (r - span)
         if inner == 0:
-            rows.append(margin + fill * (2 * span + 1) + margin)
+            rows.append(margin + "#" * (2 * span + 1) + margin)
         else:
-            arc = fill * (span - inner + 1)
-            rows.append(margin + arc + empty * (2 * inner - 1) + arc + margin)
+            arc = "#" * (span - inner + 1)
+            rows.append(margin + arc + "." * (2 * inner - 1) + arc + margin)
     return "\n".join(rows)
 
 
@@ -287,20 +287,3 @@ def archimedes_bounds(doublings: int) -> tuple[Decimal, Decimal]:
             upper = 2 * upper * lower / (upper + lower)
             lower = (upper * lower).sqrt()
         return +lower, +upper
-
-
-def is_sum_of_two_squares(n: int) -> bool:
-    """True iff n = i^2 + j^2 for some integers i, j >= 0.
-
-    Squares may be zero, so perfect squares qualify (4 = 0^2 + 2^2); that is
-    the standard number-theoretic convention.
-    """
-    if n < 1 or int(n) != n:
-        raise ValueError("n must be a positive integer")
-    n = int(n)
-    for i in range(math.isqrt(n) + 1):
-        rest = n - i * i
-        root = math.isqrt(rest)
-        if root * root == rest:
-            return True
-    return False

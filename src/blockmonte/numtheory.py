@@ -1,4 +1,5 @@
-"""gcd/coprimality helpers, zeta partial sums, and Euler-product partials.
+"""The coprime-tuple probability, zeta values and partial sums, and
+Euler-product partials.
 
 ``coprime_probability_exact`` is an exact finite-universe oracle (a
 Möbius-inverted count) and therefore returns an exact Fraction; the
@@ -12,7 +13,6 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -31,19 +31,6 @@ SERIES_BOUND_LIMIT = 10 ** 7
 
 # zeta's largest m: from 54 on zeta(m) is 1.0 in double precision.
 COPRIME_MAX_M = 64
-
-
-def gcd_tuple(values: Sequence[int]) -> int:
-    """gcd of all entries via iterated Euclid; the tuple is setwise coprime
-    iff the result is 1."""
-    if len(values) == 0:
-        raise ValueError("tuple must be non-empty")
-    result = 0
-    for value in values:
-        if value < 1 or int(value) != value:
-            raise ValueError("all entries must be positive integers")
-        result = math.gcd(result, int(value))
-    return result
 
 
 def sieve_primes(limit: int) -> list[int]:

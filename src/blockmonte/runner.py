@@ -38,8 +38,6 @@ REPORT_COLUMNS = ("run_id", "variant", "seed", "trials", "success_count",
                   "estimate", "stderr", "ci_low", "ci_high", "reference",
                   "rel_error_pct", "params", "wall_ms")
 
-SCATTER_DOT_LIMIT = 10_000
-
 # The scatter plot draws one <rect> per outline cell, about 5.65 per unit of
 # radius: about 23k rects at this radius, and an unbounded file beyond it.
 # `raster circle` takes the same bound: its text is (2r + 1)^2 = 67M bytes at it.
@@ -175,21 +173,10 @@ def _failed_record(config: ExperimentConfig, reason: str) -> EstimateRecord:
 
 
 def report_row(run_id: str, record: EstimateRecord) -> dict:
-    return {
-        "run_id": run_id,
-        "variant": record.variant,
-        "seed": record.seed,
-        "trials": record.trials_used,
-        "success_count": record.success_count,
-        "estimate": record.estimate,
-        "stderr": record.stderr,
-        "ci_low": record.ci_low,
-        "ci_high": record.ci_high,
-        "reference": record.reference,
-        "rel_error_pct": record.relative_error_percent,
-        "params": record.params,
-        "wall_ms": None,
-    }
+    return dict(zip(REPORT_COLUMNS, (
+        run_id, record.variant, record.seed, record.trials_used, record.success_count,
+        record.estimate, record.stderr, record.ci_low, record.ci_high, record.reference,
+        record.relative_error_percent, record.params, None), strict=True))
 
 
 def write_reports(manifest: RunManifest, records: list[EstimateRecord]) -> list[Path]:
@@ -210,7 +197,7 @@ def write_reports(manifest: RunManifest, records: list[EstimateRecord]) -> list[
             if config.model.cells is None or record.estimate is None:
                 continue
             path = manifest.output_dir / f"{manifest.run_id}_{index:02d}_pi.svg"
-            xs, zs = collect_pi_outcomes(config, SCATTER_DOT_LIMIT)
+            xs, zs = collect_pi_outcomes(config)
             emit_scatter(xs, zs, rasterize_circle(record.params["radius"]), path)
             written.append(path)
     return written

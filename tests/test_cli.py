@@ -1,8 +1,11 @@
+import argparse
 import csv
 import gc
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -457,6 +460,25 @@ class TestCommandLine:
         assert cli.main(["estimate", *argv, "--trials", "100"]) == 2
         assert f"'{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant, mode, key, value", [
+        ("pi", "uniform_ideal", "step_cells", "0.5"),
+        ("pi", "uniform_ideal", "turn_probability", "0.9"),
+        ("pi", "uniform_ideal", "kill_probability", "0.9"),
+        ("zeta", "uniform", "growth_prob", "0.5"),
+        ("zeta", "uniform", "speed_multiplier", "3"),
+        ("zeta", "random_tick", "value_bound", "7"),
+    ])
+    def test_a_param_the_sampler_never_reads_exits_two_unless_it_is_the_default(
+            self, capsys, monkeypatch, variant, mode, key, value):
+        argv = ["estimate", variant, "--param", f"sampler_mode={mode}", "--trials", "100"]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "run_config", no_trial)
+            assert cli.main(argv + ["--param", f"{key}={value}"]) == 2
+        assert f"invalid value for '{key}'" in capsys.readouterr().err
+        default = estimators.VARIANTS[variant].params[key].default
+        assert cli.main(argv + ["--param", f"{key}={default!r}"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"][key] == default
+
     def test_run_command(self, tmp_path, capsys):
         path = write_manifest(tmp_path / "m.ini", BASIC_MANIFEST.format(out=tmp_path / "o"))
         assert cli.main(["run", str(path)]) == 0
@@ -651,7 +673,7 @@ class TestCommandLine:
         assert taken.read_text(encoding="utf-8") == ""
 
     def test_raster_circle_text(self, capsys):
-        assert cli.main(["raster", "circle", "--radius", "2", "--txt"]) == 0
+        assert cli.main(["raster", "circle", "--radius", "2"]) == 0
         assert capsys.readouterr().out == "..#..\n.###.\n#####\n.###.\n..#..\n"
 
     def test_raster_circle_past_the_radius_limit_exits_two_before_building(
@@ -815,3 +837,57 @@ class TestProcessEntry:
         gc.unfreeze()
         assert cli.main(["estimate", "e", "--trials", "100"]) == 0
         assert gc.get_freeze_count() == 0
+
+
+class TestReadmeCli:
+    """The README's CLI block: its synopsis names exactly the parser's
+    options, and each of its examples runs."""
+
+    @staticmethod
+    def cli_blocks() -> tuple[list[str], list[str]]:
+        """The synopsis lines and the example lines of the README's CLI section."""
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+        blocks = section.split("```")
+        assert blocks[2].strip() == "Examples:"
+        return blocks[1].strip().splitlines(), blocks[3].strip().splitlines()
+
+    @staticmethod
+    def subcommands(parser: argparse.ArgumentParser) -> dict:
+        return next((action.choices for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)), {})
+
+    def test_the_synopsis_names_every_option_of_each_command_and_no_other(self):
+        synopsis, _ = self.cli_blocks()
+        entries = []
+        for line in synopsis:
+            if line.startswith("blockmonte "):
+                entries.append(line)
+            else:
+                entries[-1] += " " + line
+        seen = set()
+        for entry in entries:
+            parser, path = cli.build_parser(), []
+            for word in entry.split()[1:]:
+                if word not in self.subcommands(parser):
+                    break
+                parser = self.subcommands(parser)[word]
+                path.append(word)
+            options = {option for action in parser._actions
+                       for option in action.option_strings if option.startswith("--")}
+            assert set(re.findall(r"--[a-z][a-z-]*", entry)) == options - {"--help"}, path
+            seen.add(" ".join(path))
+        assert seen == {"estimate", "run", "raster circle", "oracle"}
+
+    def test_every_example_runs_and_prints_its_quoted_value(self, capsys, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        _, examples = self.cli_blocks()
+        assert len(examples) == 6
+        for line in examples:
+            argv = shlex.split(line, comments=True)
+            assert argv[0] == "blockmonte"
+            assert cli.main(argv[1:]) == 0, line
+            quoted = re.search(r"#\s*(\S+)\s*$", line)
+            out = capsys.readouterr().out
+            if quoted:
+                assert out == quoted.group(1) + "\n", line

@@ -1,7 +1,6 @@
 import math
 import time
 from decimal import Decimal
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from blockmonte.geometry import (
     archimedes_bounds,
     cell_in_disc,
     gauss_kronrod,
-    is_sum_of_two_squares,
     raster_to_text,
     rasterize_circle,
     rasterize_curve,
@@ -144,12 +142,12 @@ class TestCircleRaster:
     def test_text_export_at_the_largest_radius_is_fast(self, outline_only):
         raster = rasterize_circle(4096)
         start = time.perf_counter()
-        text = raster_to_text(raster, fill="X", empty=" ", outline_only=outline_only)
+        text = raster_to_text(raster, outline_only=outline_only)
         assert time.perf_counter() - start < 1.0
         rows = text.split("\n")
         assert len(rows) == 8193 and {len(row) for row in rows} == {8193}
         filled = sum(2 * raster.spans[abs(z)] + 1 for z in range(-4096, 4097))
-        assert text.count("X") == (len(raster.outline_cells()) if outline_only else filled)
+        assert text.count("#") == (len(raster.outline_cells()) if outline_only else filled)
 
     def test_text_export_counts_match(self):
         raster = rasterize_circle(9)
@@ -359,37 +357,3 @@ class TestArchimedes:
             archimedes_bounds(31)
         with pytest.raises(ValueError):
             archimedes_bounds(-1)
-
-
-def has_two_square_decomposition_by_factoring(n: int) -> bool:
-    # Fermat: n is a sum of two squares iff every prime p = 3 (mod 4)
-    # divides n to an even power.  Independent of the search in the library.
-    remaining = n
-    p = 2
-    while p * p <= remaining:
-        if remaining % p == 0:
-            power = 0
-            while remaining % p == 0:
-                remaining //= p
-                power += 1
-            if p % 4 == 3 and power % 2 == 1:
-                return False
-        p += 1
-    return remaining % 4 != 3
-
-
-class TestSumOfTwoSquares:
-    @pytest.mark.parametrize("n,expected", [
-        (5, True), (7, False), (1, True), (2, True), (3, False),
-        (4, True), (25, True), (21, False), (50, True),
-    ])
-    def test_known_values(self, n, expected):
-        assert is_sum_of_two_squares(n) is expected
-
-    def test_agrees_with_prime_factorisation_criterion(self):
-        for n in range(1, 2000):
-            assert is_sum_of_two_squares(n) == has_two_square_decomposition_by_factoring(n)
-
-    def test_invalid_input(self):
-        with pytest.raises(ValueError):
-            is_sum_of_two_squares(0)

@@ -8,21 +8,10 @@ from blockmonte.numtheory import (
     ZETA_EVEN_PI_COEFFICIENT,
     coprime_probability_exact,
     euler_product_partial,
-    gcd_tuple,
     sieve_primes,
     zeta_partial,
     zeta_value,
 )
-
-
-def subtraction_gcd(a: int, b: int) -> int:
-    # Deliberately different algorithm from math.gcd, for cross-checking.
-    while a != b:
-        if a > b:
-            a -= b
-        else:
-            b -= a
-    return a
 
 
 def mobius_coprime_count(m: int, bound: int) -> int:
@@ -34,43 +23,6 @@ def mobius_coprime_count(m: int, bound: int) -> int:
             for multiple in range(2 * d, bound + 1, d):
                 mu[multiple] -= mu[d]
     return sum(mu[d] * (bound // d) ** m for d in range(1, bound + 1))
-
-
-class TestGcdTuple:
-    def test_shared_factor_three(self):
-        assert gcd_tuple((6, 9, 21)) == 3
-
-    @pytest.mark.parametrize("k", [1, 2, 17, 10 ** 9])
-    def test_unit_entry_forces_one(self, k):
-        assert gcd_tuple((1, k)) == 1
-
-    def test_pairwise_coprime_squares(self):
-        assert gcd_tuple((4, 9, 25)) == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gcd_tuple(())
-        with pytest.raises(ValueError):
-            gcd_tuple((4, 0, 6))
-
-    def test_order_invariant_and_duplication_idempotent(self):
-        import random
-
-        rng = random.Random(5)
-        for _ in range(200):
-            values = [rng.randint(1, 10 ** 6) for _ in range(3)]
-            shuffled = list(values)
-            rng.shuffle(shuffled)
-            assert gcd_tuple(values) == gcd_tuple(shuffled)
-            assert gcd_tuple(values + [values[0]]) == gcd_tuple(values)
-
-    def test_agrees_with_subtraction_euclid(self):
-        import random
-
-        rng = random.Random(6)
-        for _ in range(100):
-            a, b = rng.randint(1, 5000), rng.randint(1, 5000)
-            assert gcd_tuple((a, b)) == subtraction_gcd(a, b)
 
 
 class TestZetaPartial:
