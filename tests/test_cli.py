@@ -528,6 +528,8 @@ class TestCommandLine:
     @pytest.mark.parametrize("last, field", [
         ("variant = pi\nsampler_mode = slime_walk\nstep_cells = 100\nradius = 1", "step_cells"),
         ("variant = integral\nfunction_spec = log(x)", "function_spec"),
+        ("variant = pi\nkill_probability = 0.9", "kill_probability"),
+        ("variant = zeta\nsampler_mode = random_tick\nvalue_bound = 7", "value_bound"),
     ])
     def test_device_rules_of_the_last_section_run_before_the_first_trial(
             self, tmp_path, capsys, monkeypatch, last, field):
@@ -732,6 +734,14 @@ class TestCommandLine:
 def test_report_row_round_trip_without_files():
     record = run_config(ExperimentConfig(variant="e", master_seed=2, trials=5000))
     assert json.loads(json.dumps(report_row("x", record))) == report_row("x", record)
+
+
+def test_report_row_follows_the_report_columns():
+    record = run_config(ExperimentConfig(variant="e", master_seed=2, trials=5000))
+    row = report_row("x", record)
+    assert tuple(row) == runner.REPORT_COLUMNS
+    assert (row["run_id"], row["variant"], row["seed"], row["trials"], row["estimate"],
+            row["params"]) == ("x", "e", 2, 5000, record.estimate, record.params)
 
 
 # Runs each CLI call in one fresh interpreter, then lists every scipy module

@@ -389,6 +389,18 @@ class TestFromCounts:
                   "reference", "relative_error_percent")
         assert [getattr(replayed, f) for f in fields] == [getattr(sampled, f) for f in fields]
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_a_zeta_replay_echoes_no_key_its_sampled_record_adds(self, m):
+        sampled = run_config(config("zeta", seed=29, trials=3000, m=m))
+        replayed = run_config(config("zeta", counts=(sampled.trials_used, sampled.success_count),
+                                     m=m))
+        added = {"value_distribution"}
+        if m % 2 == 0:
+            added |= {"pi_power", "pi_power_estimate", "pi_power_stderr", "pi_power_reference"}
+        assert added <= set(sampled.params)
+        assert not added & set(replayed.params)
+        assert replayed.params["m"] == sampled.params["m"] == m
+
     @pytest.mark.parametrize("variant", ["sec_tan", "integral"])
     def test_unreplayable_variant_gives_one_message(self, variant):
         message = "counts replay supports sqrt2, pi, e, zeta$"
@@ -499,6 +511,11 @@ class TestPi:
         xs, zs = collect_pi_outcomes(config("pi", trials=500, radius=11), limit=1000)
         assert len(xs) == len(zs) == 500
         assert all(-11 <= x <= 11 and -11 <= z <= 11 for x, z in zip(xs.tolist(), zs.tolist()))
+
+    def test_outcome_collection_caps_at_its_default_limit(self):
+        # the scatter plot of a report relies on this default for its dot cap
+        xs, zs = collect_pi_outcomes(config("pi", trials=10_001, radius=11))
+        assert len(xs) == len(zs) == 10_000
 
 
 class TestE:
