@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from .combinatorics import derangement_count, zigzag_count
 from .errors import DegenerateResultError
@@ -174,28 +173,20 @@ def _cmd_raster(args) -> int:
     return 0
 
 
-def _oracle_archimedes(doublings: int) -> str:
-    lower, upper = archimedes_bounds(doublings)
-    return f"{lower} {upper}"
-
-
-def _oracle_coprime(m: int, bound: int) -> str:
-    probability: Fraction = coprime_probability_exact(m, bound)
-    return f"{probability.numerator}/{probability.denominator}"
-
-
 _ORACLES = {
-    "derangement_count": (1, lambda n: str(derangement_count(n))),
-    "zigzag_count": (1, lambda n: str(zigzag_count(n))),
-    "zeta_partial": (2, lambda s, terms: repr(zeta_partial(s, terms))),
-    "euler_product_partial": (2, lambda s, bound: repr(euler_product_partial(s, bound))),
-    "archimedes_bounds": (1, _oracle_archimedes),
-    "coprime_probability_exact": (2, _oracle_coprime),
+    "derangement_count": lambda n: str(derangement_count(n)),
+    "zigzag_count": lambda n: str(zigzag_count(n)),
+    "zeta_partial": lambda s, terms: repr(zeta_partial(s, terms)),
+    "euler_product_partial": lambda s, bound: repr(euler_product_partial(s, bound)),
+    "archimedes_bounds": lambda doublings: "{} {}".format(*archimedes_bounds(doublings)),
+    "coprime_probability_exact": lambda m, bound: "{0.numerator}/{0.denominator}".format(
+        coprime_probability_exact(m, bound)),
 }
 
 
 def _cmd_oracle(args) -> int:
-    arity, fn = _ORACLES[args.name]
+    fn = _ORACLES[args.name]
+    arity = fn.__code__.co_argcount
     if len(args.args) != arity:
         raise ValueError(f"invalid value for 'args': {args.name} takes {arity} integer(s)")
     try:

@@ -108,8 +108,10 @@ class EstimateRecord:
     @property
     def relative_error_percent(self) -> float | None:
         """Percent error of the estimate; None for a failed run and against a
-        zero or missing reference, where it is undefined."""
-        if self.estimate is None or not self.reference:
+        missing reference, or one that is zero within its own error bound
+        (``reference_abserr``, a quadrature's), where it is undefined."""
+        if self.estimate is None or self.reference is None or (
+                abs(self.reference) <= self.params.get("reference_abserr", 0.0)):
             return None
         return relative_error(self.estimate, self.reference)
 
@@ -766,33 +768,30 @@ def _build_sqrt2(params: dict, trials: int) -> Run:
 # count-only replay
 
 
-_REPLAY_PARAMS = {
-    "counts": Param("pair", minimum=0, maximum=2 ** 53, item="int"),  # exact as doubles
-    # default: the variant's own style; past 17 digits a double has no more
-    "reported_decimals": Param("int", minimum=0, maximum=17),
-}
-
-
-def _replay(decimals: int, from_reported: bool, builder: Callable, echo: tuple[str, ...],
-            params: dict, trials: int) -> Run:
-    """A count-only replay's build: a Run with no jobs whose record replays
-    the two counts in ``params`` through the variant's record builder, called
-    as ``builder(first, second, params)``.  ``decimals`` is the display
-    precision the counts were first reported with; ``from_reported`` says
-    whether that report quoted its error from the already-rounded estimate
-    (sqrt2 and e did; pi and zeta quoted the error of the full ratio);
-    ``echo`` names the params keys, if any, that repeat the two counts."""
-    def replay(totals):
-        echoed = dict(params)
-        shown = echoed.pop("reported_decimals")
-        echoed.update(zip(echo, echoed["counts"]))
-        record = builder(*echoed["counts"], echoed)
-        reported_estimate = f"{record.estimate:.{decimals if shown is None else shown}f}"
-        basis = float(reported_estimate) if from_reported else record.estimate
-        record.params["reported_estimate"] = reported_estimate
-        record.params["reported_error_pct"] = f"{relative_error(basis, record.reference):#.3g}"
-        return record
-    return Run([], replay)
+def _replay(decimals: int, from_reported: bool, builder: Callable, **extra: Param) -> Variant:
+    """A variant's count-only replay entry.  Its table takes the two counts,
+    in the order of the variant's record builder, ``reported_decimals``, by
+    default ``decimals``, the display precision the counts were first
+    reported with, and ``extra``; its build returns a Run with no jobs whose
+    record replays the counts as ``builder(first, second, params)``.
+    ``from_reported`` says whether that report quoted its error from the
+    already-rounded estimate (sqrt2 and e did; pi and zeta quoted the error
+    of the full ratio)."""
+    def build(params: dict, trials: int) -> Run:
+        def replay(totals):
+            record = builder(*params["counts"], dict(params))
+            reported_estimate = f"{record.estimate:.{params['reported_decimals']}f}"
+            basis = float(reported_estimate) if from_reported else record.estimate
+            record.params["reported_estimate"] = reported_estimate
+            record.params["reported_error_pct"] = f"{relative_error(basis, record.reference):#.3g}"
+            return record
+        return Run([], replay)
+    return Variant({
+        "counts": Param("pair", minimum=0, maximum=2 ** 53, item="int"),  # exact as doubles
+        # past 17 digits a double has no more
+        "reported_decimals": Param("int", decimals, minimum=0, maximum=17),
+        **extra,
+    }, build)
 
 
 # ---------------------------------------------------------------------------
@@ -820,8 +819,7 @@ VARIANTS: dict[str, Variant] = {
         "speed": Param("float", DEFAULT_WALK_SPEED, above=0),
         "period": Param("float", HOPPER_PERIOD_SECONDS, above=0),
         "random_start_phase": Param("bool", False),
-    }, _build_sqrt2, Variant(_REPLAY_PARAMS, partial(_replay, 4, True, _quotient_record,
-                                                     ("hyp_items", "leg_items")))),
+    }, _build_sqrt2, _replay(4, True, _quotient_record)),
     "pi": Variant({
         # Beyond 2^30 the int64 disc test x^2 + z^2 <= r^2 could overflow.
         "radius": Param("int", 50, minimum=1, maximum=2 ** 30),
@@ -835,12 +833,11 @@ VARIANTS: dict[str, Variant] = {
         # block takes seconds, at 1e-9 a run would take days.
         "kill_probability": Param("float", 0.05, minimum=1e-3, maximum=1),
         "drift": Param("pair"),  # unset: (0.3, -0.3) for slime_walk_drift, else (0, 0)
-    }, _build_pi, Variant(_REPLAY_PARAMS,
-                          partial(_replay, 3, False, _pi_record, ("inside", "total")))),
+    }, _build_pi, _replay(3, False, _pi_record)),
     "e": Variant({
         "permutation_size": Param("int", DROPPER_MAX_SLOTS, minimum=2,
                                   maximum=DROPPER_MAX_SLOTS),
-    }, _build_e, Variant(_REPLAY_PARAMS, partial(_replay, 5, True, _e_record, ()))),
+    }, _build_e, _replay(5, True, _e_record)),
     "zeta": Variant({
         # Each block draws a (65,536 x m) array, int32 below value_bound
         # 2^31 and int64 from there, about 0.5 MB per unit of m and worker
@@ -855,8 +852,7 @@ VARIANTS: dict[str, Variant] = {
         "growth_prob": Param("float", 1.0 / 3.0, minimum=1e-14, maximum=1),
         # 3 picks per tick times this cannot exceed the 16^3-cell cube.
         "speed_multiplier": Param("int", 64, minimum=1, maximum=4096 // 3),
-    }, _build_zeta, Variant({**_REPLAY_PARAMS, "m": Param("int", 3, minimum=2)},
-                            partial(_replay, 4, False, _zeta_record, ()))),
+    }, _build_zeta, _replay(4, False, _zeta_record, m=Param("int", 3, minimum=2))),
     "sec_tan": Variant({
         "max_size": Param("int", DROPPER_MAX_SLOTS, minimum=0, maximum=DROPPER_MAX_SLOTS),
     }, _build_sec_tan),

@@ -701,6 +701,8 @@ class TestCommandLine:
         (["oracle", "derangement_count", "9"], "133496"),
         (["oracle", "zigzag_count", "4"], "5"),
         (["oracle", "coprime_probability_exact", "3", "10"], "841/1000"),
+        (["oracle", "coprime_probability_exact", "3", "1"], "1/1"),
+        (["oracle", "euler_product_partial", "2", "3"], "1.5"),  # 4/3 * 9/8
     ])
     def test_oracle_values(self, capsys, argv, expected):
         assert cli.main(argv) == 0
@@ -715,8 +717,13 @@ class TestCommandLine:
         assert cli.main(["oracle", "zeta_partial", "3", "100000"]) == 0
         assert abs(float(capsys.readouterr().out) - 1.20205) < 1e-4
 
-    def test_oracle_arity_check(self, capsys):
-        assert cli.main(["oracle", "derangement_count"]) == 2
+    @pytest.mark.parametrize("name", sorted(cli._ORACLES))
+    def test_oracle_arity_check(self, capsys, name):
+        arity = 2 if name in ("zeta_partial", "euler_product_partial",
+                              "coprime_probability_exact") else 1
+        for count in (arity - 1, arity + 1):
+            assert cli.main(["oracle", name, *["3"] * count]) == 2
+            assert f"{name} takes {arity} integer(s)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["derangement_count", "21"],  # past 64 bits: the library's OverflowError

@@ -297,6 +297,22 @@ class TestRegistry:
             else:
                 assert param.coerce(key, default) == param.default, key
 
+    def test_readme_replay_table_matches_the_registry(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = text.split("\n| key | kind | default | bounds |\n", 1)[1].split("\n\n", 1)[0]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in table.splitlines()[1:]]
+        keys = [row[0].split()[0].strip("`") for row in rows]
+        assert keys == ["counts", "reported_decimals", "m"]
+        defaults = dict(part.split() for part in rows[1][2].split(", "))
+        assert defaults == {"sqrt2": "4", "pi": "3", "e": "5", "zeta": "4"}
+        for name, default in defaults.items():
+            replay = estimators.VARIANTS[name].replay.params
+            assert list(replay) == keys[:2] + keys[2:] * (name == "zeta")
+            assert [f"pair of {param.item}s" if param.kind == "pair" else param.kind
+                    for param in replay.values()] == [row[1] for row in rows[:len(replay)]]
+            assert replay["reported_decimals"].default == int(default)
+        assert estimators.VARIANTS["zeta"].replay.params["m"].default == int(rows[2][2])
 
     def test_readme_names_exist(self):
         text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -342,6 +358,7 @@ class TestFromCounts:
     def test_figure_counts_at_five_decimals(self):
         record = run_config(config("pi", counts=(33943, 43270), reported_decimals=5))
         assert record.params["reported_estimate"] == "3.13779"
+        assert record.params["reported_decimals"] == 5
 
     def test_zero_denominator_is_degenerate(self):
         with pytest.raises(DegenerateSampleError):
@@ -388,6 +405,19 @@ class TestFromCounts:
         fields = ("estimate", "trials_used", "success_count", "stderr", "ci_low", "ci_high",
                   "reference", "relative_error_percent")
         assert [getattr(replayed, f) for f in fields] == [getattr(sampled, f) for f in fields]
+
+    @pytest.mark.parametrize("variant, extra", [
+        ("sqrt2", {}), ("pi", {}), ("e", {}), ("zeta", {"m": 3}),
+    ])
+    def test_a_replay_echoes_each_count_once_and_the_decimals_it_used(self, variant, extra):
+        record = run_config(config(variant, counts=REPLAY_COUNTS[variant]))
+        assert list(record.params) == ["counts", "reported_decimals", *extra,
+                                       "reported_estimate", "reported_error_pct"]
+        assert record.params["counts"] == [int(c) for c in REPLAY_COUNTS[variant].split(",")]
+        decimals = record.params["reported_decimals"]
+        assert decimals == estimators.VARIANTS[variant].replay.params["reported_decimals"].default
+        assert record.params["reported_estimate"] == f"{record.estimate:.{decimals}f}"
+        assert {key: record.params[key] for key in extra} == extra
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_a_zeta_replay_echoes_no_key_its_sampled_record_adds(self, m):
@@ -762,6 +792,17 @@ class TestIntegral:
         abserr = record.params["reference_abserr"]
         assert 0 < abserr < 1e-11
         assert abs(record.reference - SHOWCASE_INTEGRAL) <= abserr
+
+    @pytest.mark.parametrize("function_spec, a, b", [
+        ("x", -3, 3), ("sin(x)", -3, 3), ("x**3 - x", -2, 2),
+    ])
+    def test_no_relative_error_against_a_reference_zero_within_its_error(
+            self, function_spec, a, b):
+        # Each quadrature reference is about 1e-16, below its abserr of about 1e-13.
+        record = run_config(config("integral", trials=20_000, function_spec=function_spec,
+                                   a=a, b=b))
+        assert 0 < abs(record.reference) <= record.params["reference_abserr"]
+        assert record.relative_error_percent is None
 
     def test_unconverged_reference_is_flagged(self):
         record = run_config(config("integral", trials=1_000,
